@@ -19,7 +19,7 @@ use criterion::{black_box, Criterion};
 use hft_bench::REPRO_SEED;
 use hft_corridor::{chicago_nj, generate, GeneratedEcosystem};
 use hft_serve::api::Request;
-use hft_serve::{Client, IoMode, Proto, ServeConfig, Server, Service};
+use hft_serve::{Client, Proto, ServeConfig, Server, Service};
 use hft_time::Date;
 use std::sync::OnceLock;
 
@@ -110,7 +110,6 @@ fn bench_wire(c: &mut Criterion, service: &Service, mix: &[Request]) {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         queue_depth: 64,
-        io: IoMode::Evented,
         ..ServeConfig::default()
     })
     .expect("bind bench server");

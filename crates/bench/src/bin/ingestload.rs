@@ -15,7 +15,7 @@
 //! each batch, and reports events/second.
 //!
 //! Phase B seeds a [`hft_ingest::SnapshotStore`] with the first half of
-//! the history, serves it with `Server::run_live`, and ingests the
+//! the history, serves it through a [`LiveService`], and ingests the
 //! remaining batches on a paced background thread while client threads
 //! hammer the server. Each answer is *generation-bracketed*: the client
 //! snapshots the store generation before sending and after receiving.
@@ -31,7 +31,7 @@ use hft_corridor::{chicago_nj, generate};
 use hft_ingest::{decode_batch, render_history, Applier, SnapshotStore};
 use hft_obs::HistogramShard;
 use hft_serve::api::{Request, Response};
-use hft_serve::{Client, ServeConfig, Server, Service};
+use hft_serve::{Client, LiveService, ServeConfig, Server, Service};
 use hft_time::Date;
 use hft_uls::UlsDatabase;
 use std::collections::HashMap;
@@ -325,8 +325,9 @@ fn run() -> Result<(), String> {
     );
 
     let served = Instant::now();
+    let live = LiveService::new(Arc::clone(&store));
     let (outcomes, serve_stats) = std::thread::scope(|scope| {
-        let server_handle = scope.spawn(|| server.run_live(&store));
+        let server_handle = scope.spawn(|| server.run_with(&live));
         let ingester = scope.spawn(|| {
             for (i, batch) in batches[half..].iter().enumerate() {
                 let conflicts = applier.apply(batch);

@@ -8,7 +8,7 @@
 //! # self-hosted (binds its own server on a free port):
 //! cargo run --release -p hft-bench --bin loadgen
 //!
-//! # full protocol/io matrix (json/bin x threaded/evented):
+//! # protocol matrix (json vs bin, one fresh server each):
 //! cargo run --release -p hft-bench --bin loadgen -- --matrix
 //!
 //! # against an external `hftnetview serve` (seeds must match):
@@ -29,9 +29,8 @@
 //! frames; verification still byte-compares the *decoded* response
 //! re-encoded with the canonical JSON codec, so a wrong answer cannot
 //! hide behind a different wire format. `--matrix` self-hosts a fresh
-//! server per combo and reports all four (proto, io) cells plus the
-//! speedup of bin/evented over the json/threaded baseline measured in
-//! the same run at the same settings.
+//! server per protocol and reports both cells plus the speedup of bin
+//! over the json baseline measured in the same run at the same settings.
 //!
 //! `Overloaded` rejections are retried (and counted): backpressure is
 //! a protocol answer, not an error. A byte mismatch is a hard failure —
@@ -43,7 +42,7 @@ use hft_bench::REPRO_SEED;
 use hft_corridor::{chicago_nj, generate};
 use hft_obs::{HistogramShard, RegistrySnapshot};
 use hft_serve::api::{Request, Response};
-use hft_serve::{Client, IoMode, Proto, ServeConfig, Server, Service};
+use hft_serve::{Client, Proto, ServeConfig, Server, Service};
 use hft_time::Date;
 use hft_uls::shard::shard_of_licensee;
 use std::collections::VecDeque;
@@ -60,7 +59,6 @@ struct Args {
     out: Option<String>,
     shards: usize,
     proto: Proto,
-    io: IoMode,
     matrix: bool,
 }
 
@@ -75,7 +73,6 @@ fn parse_args() -> Result<Args, String> {
         out: None,
         shards: 0,
         proto: Proto::Json,
-        io: IoMode::default(),
         matrix: false,
     };
     let mut args = std::env::args().skip(1);
@@ -114,17 +111,12 @@ fn parse_args() -> Result<Args, String> {
                 let v = need("--proto")?;
                 parsed.proto = Proto::parse(&v).ok_or(format!("bad proto {v:?} (json|bin)"))?;
             }
-            "--io" => {
-                let v = need("--io")?;
-                parsed.io =
-                    IoMode::parse(&v).ok_or(format!("bad io mode {v:?} (evented|threaded)"))?;
-            }
             "--matrix" => parsed.matrix = true,
             other => {
                 return Err(format!(
                     "unknown argument {other:?}\nusage: loadgen [--connect ADDR] [--seconds S] \
                      [--concurrency N] [--window N] [--seed N] [--shutdown-server] [--out PATH] \
-                     [--shards N] [--proto json|bin] [--io evented|threaded] [--matrix]"
+                     [--shards N] [--proto json|bin] [--matrix]"
                 ))
             }
         }
@@ -540,13 +532,9 @@ impl WireSample {
     }
 }
 
-/// One (proto, io) cell of the benchmark matrix.
+/// One protocol cell of the benchmark matrix.
 struct ComboResult {
     proto: Proto,
-    io: IoMode,
-    /// True when the server is external (`--connect`): its I/O plane is
-    /// whatever the operator launched, not our `--io` default.
-    remote: bool,
     serial: PhaseResult,
     concurrent: PhaseResult,
     /// Server-side wire attribution; only available when the server
@@ -559,22 +547,10 @@ struct ComboResult {
 }
 
 impl ComboResult {
-    fn io_name(&self) -> &'static str {
-        if self.remote {
-            "remote"
-        } else {
-            self.io.name()
-        }
-    }
-
-    fn label(&self) -> String {
-        format!("{}/{}", self.proto.name(), self.io_name())
-    }
-
     fn print(&self) {
         let serial = &self.serial;
         let concurrent = &self.concurrent;
-        println!("=== {} ===", self.label());
+        println!("=== {} ===", self.proto.name());
         println!(
             "serial:     {:>8} requests  {:>9.0} rps  p50 {:.3} ms  max {:.3} ms",
             serial.completed,
@@ -618,7 +594,7 @@ impl ComboResult {
             );
         }
         tail_alert(
-            &format!("{} concurrent", self.label()),
+            &format!("{} concurrent", self.proto.name()),
             &concurrent.latencies.snapshot(),
         );
         if !self.traces.is_empty() {
@@ -638,7 +614,7 @@ impl ComboResult {
             .map(|w| format!(", \"wire\": {}", w.json()))
             .unwrap_or_default();
         format!(
-            "{{\"proto\": \"{}\", \"io\": \"{}\", \
+            "{{\"proto\": \"{}\", \
              \"serial\": {{\"requests\": {}, \"seconds\": {}, \"rps\": {}, \"p50_ms\": {}, \
              \"max_ms\": {}}}, \
              \"concurrent\": {{\"concurrency\": {}, \"window\": {}, \"requests\": {}, \
@@ -646,7 +622,6 @@ impl ComboResult {
              \"p99_ms\": {}, \"p999_ms\": {}, \"max_ms\": {}, \"overloaded_retries\": {}, \
              \"wrong_answers\": {}}}{wire}}}",
             self.proto.name(),
-            self.io_name(),
             serial.completed,
             fmt(serial.elapsed_s),
             fmt(serial.rps()),
@@ -766,23 +741,22 @@ fn run() -> Result<(), String> {
         Ok((serial, concurrent, traces))
     };
 
-    // Self-host one (proto, io) combo on a fresh server and fresh port;
-    // the worker pool is sized identically for every combo so cells are
+    // Self-host one protocol cell on a fresh server and fresh port; the
+    // worker pool is sized identically for every cell so cells are
     // comparable.
-    let self_host = |proto: Proto, io: IoMode| -> Result<ComboResult, String> {
+    let self_host = |proto: Proto| -> Result<ComboResult, String> {
         let server = Server::bind(ServeConfig {
             addr: "127.0.0.1:0".into(),
             workers: (args.concurrency * args.window).clamp(8, 256),
             queue_depth: (args.concurrency * args.window).max(64),
-            io,
             ..ServeConfig::default()
         })
         .map_err(|e| e.to_string())?;
         let addr = server.local_addr().map_err(|e| e.to_string())?;
-        eprintln!("[{}/{}] self-hosting on {addr}", proto.name(), io.name());
+        eprintln!("[{}] self-hosting on {addr}", proto.name());
         let before = hft_obs::global().snapshot();
         let (serial, concurrent, traces) = std::thread::scope(|scope| {
-            let handle = scope.spawn(|| server.run(&eco.db));
+            let handle = scope.spawn(|| server.run_with(&Service::new(&eco.db)));
             let phases = run_phases(&addr, proto, true);
             let stats = handle.join().expect("server thread");
             stats.map_err(|e| e.to_string())?;
@@ -791,8 +765,6 @@ fn run() -> Result<(), String> {
         let wire = WireSample::delta(&before, &hft_obs::global().snapshot());
         Ok(ComboResult {
             proto,
-            io,
-            remote: false,
             serial,
             concurrent,
             wire: Some(wire),
@@ -810,55 +782,32 @@ fn run() -> Result<(), String> {
             let (serial, concurrent, traces) = run_phases(&addr, args.proto, args.shutdown_server)?;
             vec![ComboResult {
                 proto: args.proto,
-                io: args.io,
-                remote: true,
                 serial,
                 concurrent,
                 wire: None,
                 traces,
             }]
         }
-        None if args.matrix => {
-            // The matrix baseline cell (json/threaded) runs first, the
-            // acceptance cell (bin/evented) last; every cell gets a
-            // fresh server at identical settings.
-            let cells = [
-                (Proto::Json, IoMode::Threaded),
-                (Proto::Binary, IoMode::Threaded),
-                (Proto::Json, IoMode::Evented),
-                (Proto::Binary, IoMode::Evented),
-            ];
-            let mut combos = Vec::with_capacity(cells.len());
-            for (proto, io) in cells {
-                combos.push(self_host(proto, io)?);
-            }
-            combos
-        }
-        None => vec![self_host(args.proto, args.io)?],
+        // The matrix baseline cell (json) runs first, the acceptance
+        // cell (bin) last; each gets a fresh server at identical settings.
+        None if args.matrix => vec![self_host(Proto::Json)?, self_host(Proto::Binary)?],
+        None => vec![self_host(args.proto)?],
     };
 
     for combo in &combos {
         combo.print();
     }
 
-    // The cell that headlines the top-level summary: bin/evented when
-    // the matrix ran, otherwise the single cell that was measured.
-    let primary = combos
-        .iter()
-        .find(|c| c.proto == Proto::Binary && c.io == IoMode::Evented)
-        .unwrap_or(&combos[0]);
-    let baseline = combos
-        .iter()
-        .find(|c| c.proto == Proto::Json && c.io == IoMode::Threaded);
-    let matrix_speedup = baseline.and_then(|b| {
-        (args.matrix && b.concurrent.rps() > 0.0)
-            .then(|| primary.concurrent.rps() / b.concurrent.rps())
-    });
+    // The cell that headlines the top-level summary: bin when the
+    // matrix ran, otherwise the single cell that was measured.
+    let primary = combos.last().expect("at least one cell");
+    let baseline = combos[0].concurrent.rps();
+    let matrix_speedup =
+        (args.matrix && baseline > 0.0).then(|| primary.concurrent.rps() / baseline);
     if let Some(speedup) = matrix_speedup {
         println!(
-            "matrix: bin/evented {:.0} rps vs json/threaded {:.0} rps = {speedup:.2}x",
+            "matrix: bin {:.0} rps vs json {baseline:.0} rps = {speedup:.2}x",
             primary.concurrent.rps(),
-            baseline.unwrap().concurrent.rps(),
         );
     }
 
@@ -920,16 +869,16 @@ fn run() -> Result<(), String> {
         .sum();
     let runs_json: Vec<String> = combos.iter().map(|c| c.json(&args)).collect();
     let matrix_json = matrix_speedup
-        .map(|s| format!(",\n\"speedup_bin_evented_vs_json_threaded\": {}", fmt(s)))
+        .map(|s| format!(",\n\"speedup_bin_vs_json\": {}", fmt(s)))
         .unwrap_or_default();
 
     // Top-level serial/concurrent mirror the primary cell so existing
     // consumers of BENCH_serve.json keep working; "runs" carries every
-    // measured (proto, io) cell.
+    // measured protocol cell.
     let json = format!(
         "{{\n\
          \"workload\": {{\"distinct_requests\": {}, \"seed\": {}}},\n\
-         \"proto\": \"{}\", \"io\": \"{}\",\n\
+         \"proto\": \"{}\",\n\
          \"serial\": {{\"requests\": {}, \"seconds\": {}, \"rps\": {}, \"p50_ms\": {}, \
          \"max_ms\": {}}},\n\
          \"concurrent\": {{\"concurrency\": {}, \"window\": {}, \"requests\": {}, \"seconds\": {}, \
@@ -940,7 +889,6 @@ fn run() -> Result<(), String> {
         mix.len(),
         args.seed,
         primary.proto.name(),
-        primary.io_name(),
         primary.serial.completed,
         fmt(primary.serial.elapsed_s),
         fmt(primary.serial.rps()),

@@ -5,7 +5,7 @@
 
 use hft_http::HttpExplorer;
 use hft_serve::evloop::ExtraListener;
-use hft_serve::{Client, IoMode, Request, Response, ServeConfig, Server, Service};
+use hft_serve::{Client, Request, Response, ServeConfig, Server, Service};
 use hft_time::Date;
 use hft_uls::{
     CallSign, FrequencyAssignment, License, LicenseId, MicrowavePath, RadioService, StationClass,
@@ -395,22 +395,4 @@ fn head_answers_headers_only_and_errors_close() {
         bad.stream.read_to_end(&mut rest).expect("read to close");
         assert!(rest.is_empty(), "server closed after the error");
     });
-}
-
-#[test]
-fn threaded_mode_rejects_extra_listeners() {
-    let db = corpus();
-    let service = Service::new(&db);
-    let server = Server::bind(ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        io: IoMode::Threaded,
-        ..ServeConfig::default()
-    })
-    .expect("bind");
-    let explorer = HttpExplorer::new(&service);
-    let extra = ExtraListener::bind("127.0.0.1:0", &explorer).expect("bind http");
-    let err = server
-        .run_with_extras(&service, &[extra])
-        .expect_err("threaded + extras must be refused");
-    assert_eq!(err.kind(), std::io::ErrorKind::Unsupported);
 }

@@ -1,6 +1,6 @@
 //! The event-driven transport: one readiness loop multiplexing every
-//! connection over a [`Poller`](crate::poll::Poller), replacing the
-//! two-threads-per-connection model for the hot path.
+//! connection over a [`Poller`](crate::poll::Poller), with no thread
+//! per connection.
 //!
 //! The loop is protocol-agnostic: it owns sockets, readiness, pooled
 //! write buffers and vectored flushes, while each connection's *bytes*
@@ -33,7 +33,7 @@
 //! `serve.decode_ns`/`serve.encode_ns`, and wake-to-drain latency in
 //! `serve.poll_wake_ns`.
 //!
-//! Shutdown mirrors the threaded path: a `shutdown` request answers
+//! Shutdown is a protocol message: a `shutdown` request answers
 //! `ShuttingDown`, stops every acceptor, closes the admission queue
 //! (pending jobs still drain), marks every connection read-closed, and
 //! the loop exits once every outstanding response has been flushed.
@@ -143,11 +143,8 @@ impl DriverCx<'_> {
     /// fills on a pool worker and pokes the loop's waker; encode it from
     /// the driver's `pump`. Rejections are immediate and explicit.
     pub fn submit(&mut self, request: Request) -> Result<Arc<ResponseSlot>, SubmitError> {
-        self.queue.submit_with(
-            request,
-            self.handler.serve_stats(),
-            Some(Arc::clone(self.waker)),
-        )
+        self.queue
+            .submit(request, self.handler.serve_stats(), Arc::clone(self.waker))
     }
 
     /// A pooled (cleared) encode buffer.
@@ -254,8 +251,7 @@ enum Outgoing {
 
 /// The length-prefixed wire protocol as a [`ConnDriver`]: hello
 /// negotiation, magic-byte codec sniffing, queue-bypassing
-/// `stats`/`metrics`, bounded admission for the rest — semantics
-/// identical to the threaded reader's (see `server.rs`).
+/// `stats`/`metrics`, bounded admission for the rest.
 struct WireDriver {
     max_frame: usize,
     frames: FrameReader,
@@ -380,8 +376,8 @@ impl ConnDriver for WireDriver {
     }
 
     fn on_eof(&mut self, _cx: &mut DriverCx<'_>) {
-        // A partial frame at EOF is simply dropped, matching the
-        // threaded reader's drain-on-reader-exit.
+        // A partial frame at EOF is simply dropped; answers already
+        // queued still flush.
     }
 
     fn pump(&mut self, cx: &mut DriverCx<'_>) {
@@ -666,8 +662,7 @@ impl<'f, H: Handler> EvLoop<'_, 'f, H> {
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
-                    // Read errors still flush queued answers, matching
-                    // the threaded writer's drain-on-reader-exit.
+                    // Read errors still flush queued answers.
                     conn.closing = true;
                     return;
                 }

@@ -11,8 +11,9 @@
 //!    onto one session computation.
 //! 4. [`pool`] — bounded FIFO admission with explicit `Overloaded`
 //!    backpressure; never unbounded buffering.
-//! 5. [`wire`] + [`server`] — length-prefixed frames over TCP, an
-//!    in-order per-connection outbox, and a blocking/pipelining client.
+//! 5. [`wire`] + [`evloop`] + [`server`] — length-prefixed frames over
+//!    TCP, one readiness loop answering every connection in request
+//!    order, and a blocking/pipelining client.
 //! 6. [`live`] — a generation-following engine over an ingest
 //!    [`SnapshotStore`](hft_ingest::SnapshotStore): one
 //!    [`Service`](service::Service) per corpus generation, swapped when
@@ -47,6 +48,6 @@ pub use binwire::Proto;
 pub use evloop::{ConnDriver, DriverCx, DriverFactory, ExtraListener};
 pub use live::LiveService;
 pub use router::ShardRouter;
-pub use server::{Client, IoMode, ServeConfig, Server};
+pub use server::{Client, ServeConfig, Server};
 pub use service::{Handler, Service};
 pub use stats::{ServeSnapshot, ServeStats};

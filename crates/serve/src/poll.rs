@@ -388,13 +388,21 @@ impl Waker {
 
     /// Consume pending wakes; called by the event loop when its token
     /// fires. Records the wake-to-drain latency.
+    ///
+    /// Empties the socket *before* disarming. The other order loses
+    /// wakes for good: a `wake` landing between disarm and the drain
+    /// re-arms and sends a datagram the drain then swallows, leaving
+    /// the flag set with nothing to wake the poller, so every later
+    /// `wake` is a no-op. In this order a `wake` that lands mid-drain
+    /// is coalesced into this one, which is safe because the caller
+    /// checks for work after draining.
     pub fn drain(&self) {
-        self.armed.store(false, Ordering::Release);
+        let mut buf = [0u8; 16];
+        while self.sock.recv(&mut buf).is_ok() {}
         if let Some(at) = self.armed_at.lock().expect("waker").take() {
             self.wake_ns.record(at.elapsed().as_nanos() as u64);
         }
-        let mut buf = [0u8; 16];
-        while self.sock.recv(&mut buf).is_ok() {}
+        self.armed.store(false, Ordering::Release);
     }
 }
 
@@ -515,5 +523,51 @@ mod tests {
         waker.drain();
         t.join().unwrap();
         assert!(started.elapsed() < Duration::from_secs(2));
+    }
+
+    /// Regression: draining must never latch the waker armed with no
+    /// datagram in flight. Wakes hammered from several threads race a
+    /// poll-and-drain loop; afterwards one more wake must still
+    /// interrupt the poller promptly.
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    #[test]
+    fn racing_wakes_never_latch_the_waker() {
+        let poller = Poller::new().unwrap();
+        let waker = Waker::new().unwrap();
+        poller.register(waker.fd(), 1, Interest::READ).unwrap();
+        let stop = AtomicBool::new(false);
+        let (drained, drains) = std::sync::mpsc::channel();
+
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut events = Vec::new();
+                while !stop.load(Ordering::Acquire) {
+                    poller
+                        .wait(&mut events, Some(Duration::from_millis(20)))
+                        .unwrap();
+                    if events.iter().any(|e| e.token == 1) {
+                        waker.drain();
+                        drained.send(()).unwrap();
+                    }
+                }
+            });
+
+            let hammer_until = Instant::now() + Duration::from_millis(300);
+            std::thread::scope(|hammers| {
+                for _ in 0..3 {
+                    hammers.spawn(|| {
+                        while Instant::now() < hammer_until {
+                            waker.wake();
+                        }
+                    });
+                }
+            });
+
+            while drains.try_recv().is_ok() {}
+            waker.wake();
+            let surfaced = drains.recv_timeout(Duration::from_millis(100)).is_ok();
+            stop.store(true, Ordering::Release);
+            assert!(surfaced, "a wake after the race never reached the poller");
+        });
     }
 }

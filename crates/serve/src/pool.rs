@@ -14,83 +14,46 @@ use crate::poll::Waker;
 use crate::service::Handler;
 use crate::stats::ServeStats;
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-/// A one-shot response slot a submitter can block on (threaded writer)
-/// or poll with a poller wake on fill (evented loop).
+/// A one-shot response slot. The submitter polls it with
+/// [`ResponseSlot::try_take`]; filling it pokes the submitter's readiness
+/// loop through its [`Waker`].
 pub struct ResponseSlot {
     state: Mutex<Option<Response>>,
-    cv: Condvar,
     /// Poked on `fill` so a readiness loop parked in `Poller::wait`
-    /// learns the response is ready; `None` for threaded connections,
-    /// whose writer blocks on the condvar instead.
-    waker: Option<Arc<Waker>>,
+    /// learns the response is ready.
+    waker: Arc<Waker>,
 }
 
 impl std::fmt::Debug for ResponseSlot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResponseSlot")
-            .field("filled", &self.try_peek())
-            .field("waker", &self.waker.is_some())
+            .field("filled", &self.state.lock().expect("slot state").is_some())
             .finish()
     }
 }
 
 impl ResponseSlot {
-    /// An empty slot.
-    pub fn new() -> Arc<ResponseSlot> {
-        ResponseSlot::with_waker(None)
-    }
-
     /// An empty slot that pokes `waker` when filled.
-    pub fn with_waker(waker: Option<Arc<Waker>>) -> Arc<ResponseSlot> {
+    pub fn with_waker(waker: Arc<Waker>) -> Arc<ResponseSlot> {
         Arc::new(ResponseSlot {
             state: Mutex::new(None),
-            cv: Condvar::new(),
             waker,
         })
     }
 
-    /// A slot already holding `response` (used for in-order `Overloaded`
-    /// answers on pipelined connections).
-    pub fn filled(response: Response) -> Arc<ResponseSlot> {
-        Arc::new(ResponseSlot {
-            state: Mutex::new(Some(response)),
-            cv: Condvar::new(),
-            waker: None,
-        })
-    }
-
-    /// Publish the response and wake the waiter.
+    /// Publish the response and wake the submitter.
     pub fn fill(&self, response: Response) {
-        let mut state = self.state.lock().expect("slot state");
-        *state = Some(response);
-        self.cv.notify_all();
-        drop(state);
-        if let Some(waker) = &self.waker {
-            waker.wake();
-        }
-    }
-
-    fn try_peek(&self) -> bool {
-        self.state.lock().expect("slot state").is_some()
+        *self.state.lock().expect("slot state") = Some(response);
+        self.waker.wake();
     }
 
     /// Non-blocking check; returns the response once filled.
     pub fn try_take(&self) -> Option<Response> {
         self.state.lock().expect("slot state").take()
-    }
-
-    /// Block until the response is available.
-    pub fn wait(&self) -> Response {
-        let mut state = self.state.lock().expect("slot state");
-        loop {
-            if let Some(response) = state.take() {
-                return response;
-            }
-            state = self.cv.wait(state).expect("slot wait");
-        }
     }
 }
 
@@ -98,8 +61,8 @@ struct Job {
     request: Request,
     enqueued: Instant,
     /// Trace identity minted at admission — the queue is the single
-    /// admission point shared by the threaded plane, the evented loop
-    /// and the HTTP driver, so every pooled request gets one.
+    /// admission point shared by the wire and HTTP drivers, so every
+    /// pooled request gets one.
     ctx: hft_obs::TraceContext,
     slot: Arc<ResponseSlot>,
 }
@@ -138,28 +101,14 @@ impl Queue {
         }
     }
 
-    /// The configured depth cap.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Admit a request. Returns the slot the response will land in, or
-    /// an immediate rejection — never blocks, never over-buffers.
+    /// Admit a request. Returns the slot the response will land in
+    /// (filling it pokes `waker`), or an immediate rejection — never
+    /// blocks, never over-buffers.
     pub fn submit(
         &self,
         request: Request,
         stats: &ServeStats,
-    ) -> Result<Arc<ResponseSlot>, SubmitError> {
-        self.submit_with(request, stats, None)
-    }
-
-    /// [`Queue::submit`] with a poller wake attached to the slot, for
-    /// submitters that poll instead of block.
-    pub fn submit_with(
-        &self,
-        request: Request,
-        stats: &ServeStats,
-        waker: Option<Arc<Waker>>,
+        waker: Arc<Waker>,
     ) -> Result<Arc<ResponseSlot>, SubmitError> {
         let mut inner = self.inner.lock().expect("queue");
         if !inner.open {
@@ -203,6 +152,10 @@ impl Queue {
 
     /// A worker loop: drain jobs until the queue closes and empties.
     /// Run one of these per pool worker (typically on a scoped thread).
+    ///
+    /// A handler panic is caught here and answered as a structured
+    /// error, so it costs neither the worker nor the connection waiting
+    /// on the slot in request order.
     pub fn worker<H: Handler>(&self, handler: &H) {
         while let Some(job) = self.next_job() {
             let stats = handler.serve_stats();
@@ -217,7 +170,10 @@ impl Queue {
                 let _span =
                     hft_obs::trace_root("serve.request", job.request.kind(), job.ctx, job.enqueued);
                 hft_obs::annotate("queue.wait", 0, wait_ns);
-                handler.handle(&job.request)
+                panic::catch_unwind(AssertUnwindSafe(|| handler.handle(&job.request)))
+                    .unwrap_or_else(|_| Response::Error {
+                        message: "internal error: handler panicked".into(),
+                    })
             };
             stats.on_service(started.elapsed().as_nanos() as u64);
             stats.on_completed(matches!(response, Response::Error { .. }));
@@ -232,19 +188,25 @@ mod tests {
     use crate::service::Service;
     use hft_uls::UlsDatabase;
 
+    fn waker() -> Arc<Waker> {
+        Arc::new(Waker::new().unwrap())
+    }
+
     #[test]
     fn overload_rejection_when_no_worker_drains() {
         let db = UlsDatabase::new();
         let service = Service::new(&db);
         let queue = Queue::new(2);
+        let waker = waker();
         let req = Request::SiteSearch {
             service: "MG".into(),
             class: "FXO".into(),
         };
-        assert!(queue.submit(req.clone(), service.stats()).is_ok());
-        assert!(queue.submit(req.clone(), service.stats()).is_ok());
+        let submit = || queue.submit(req.clone(), service.stats(), Arc::clone(&waker));
+        assert!(submit().is_ok());
+        assert!(submit().is_ok());
         assert_eq!(
-            queue.submit(req.clone(), service.stats()).unwrap_err(),
+            submit().unwrap_err(),
             SubmitError::Overloaded,
             "third submission must bounce off the depth-2 queue"
         );
@@ -259,6 +221,7 @@ mod tests {
         let db = UlsDatabase::new();
         let service = Service::new(&db);
         let queue = Queue::new(16);
+        let waker = waker();
         let slots: Vec<_> = (0..5)
             .map(|_| {
                 queue
@@ -268,6 +231,7 @@ mod tests {
                             class: "FXO".into(),
                         },
                         service.stats(),
+                        Arc::clone(&waker),
                     )
                     .unwrap()
             })
@@ -275,7 +239,7 @@ mod tests {
         queue.close();
         queue.worker(&service); // drains everything, then returns
         for slot in slots {
-            assert_eq!(slot.wait(), Response::Licenses { ids: vec![] });
+            assert_eq!(slot.try_take(), Some(Response::Licenses { ids: vec![] }));
         }
         let snap = service.stats().snapshot();
         assert_eq!(snap.completed, 5);
@@ -290,7 +254,9 @@ mod tests {
         let queue = Queue::new(4);
         queue.close();
         assert_eq!(
-            queue.submit(Request::Stats, service.stats()).unwrap_err(),
+            queue
+                .submit(Request::Stats, service.stats(), waker())
+                .unwrap_err(),
             SubmitError::Closed
         );
     }

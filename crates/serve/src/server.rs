@@ -1,18 +1,13 @@
-//! The TCP transport: a server wrapping [`Service`] behind the
-//! length-prefixed wire protocol, with two interchangeable data planes.
+//! The TCP transport: a server wrapping a [`Handler`] behind the
+//! length-prefixed wire protocol, plus a blocking client.
 //!
-//! [`IoMode::Evented`] (the default) multiplexes every connection on
-//! one readiness loop (see [`crate::evloop`]). [`IoMode::Threaded`]
-//! keeps the original model: each connection gets a reader thread
-//! (decode frames, admit to the pool) and a writer thread (publish
-//! responses strictly in request order). Both planes speak both wire
-//! codecs — connections start in JSON and may switch to the binary
-//! protocol with a hello frame (see [`crate::binwire`]) — and share the
-//! worker pool, admission queue, and every dispatch rule: ordering
-//! under overload is preserved by queueing an already-answered
-//! `Overloaded` entry in arrival position, and `stats`/`metrics`/
-//! `shutdown` requests bypass the admission queue — they must work
-//! precisely when the queue is full.
+//! Every connection is multiplexed on one readiness loop (see
+//! [`crate::evloop`]) in front of a bounded worker pool. Connections
+//! start in JSON and may switch to the binary protocol with a hello
+//! frame (see [`crate::binwire`]). Ordering under overload is preserved
+//! by queueing an already-answered `Overloaded` entry in arrival
+//! position, and `stats`/`metrics`/`shutdown` requests bypass the
+//! admission queue — they must work precisely when the queue is full.
 //!
 //! Shutdown is a protocol message, not a signal: any client may send
 //! `shutdown`, which stops the accept loop, closes the queue (pending
@@ -21,53 +16,12 @@
 use crate::api::{Request, Response};
 use crate::binwire::{self, Proto};
 use crate::evloop::ExtraListener;
-use crate::live::LiveService;
-use crate::pool::{Queue, ResponseSlot, SubmitError};
-use crate::service::{Handler, Service};
+use crate::pool::Queue;
+use crate::service::Handler;
 use crate::stats::ServeSnapshot;
 use crate::wire::{self, FrameEvent, FrameReader};
-use hft_ingest::SnapshotStore;
-use std::collections::VecDeque;
 use std::io::{self, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
-
-/// How long blocking reads wait before handlers re-check the shutdown
-/// flag. Bounds shutdown latency; never torn frames (see [`FrameReader`]).
-const POLL_INTERVAL: Duration = Duration::from_millis(25);
-
-/// Which transport data plane the server runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoMode {
-    /// One readiness loop multiplexing all connections (epoll where
-    /// available). The fast path.
-    #[default]
-    Evented,
-    /// Reader + writer thread per connection. The original, simpler
-    /// plane; kept as a debuggable reference and comparison baseline.
-    Threaded,
-}
-
-impl IoMode {
-    /// Parse a CLI name.
-    pub fn parse(s: &str) -> Option<IoMode> {
-        match s {
-            "evented" => Some(IoMode::Evented),
-            "threaded" => Some(IoMode::Threaded),
-            _ => None,
-        }
-    }
-
-    /// The CLI name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            IoMode::Evented => "evented",
-            IoMode::Threaded => "threaded",
-        }
-    }
-}
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -80,8 +34,6 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Maximum accepted frame body size in bytes.
     pub max_frame: usize,
-    /// The transport data plane.
-    pub io: IoMode,
 }
 
 impl Default for ServeConfig {
@@ -91,7 +43,6 @@ impl Default for ServeConfig {
             workers: 4,
             queue_depth: 64,
             max_frame: wire::DEFAULT_MAX_FRAME,
-            io: IoMode::default(),
         }
     }
 }
@@ -115,56 +66,26 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// Serve a fixed corpus until a `shutdown` request arrives, then
-    /// drain and return the final serving-layer counters.
-    pub fn run(&self, db: &hft_uls::UlsDatabase) -> io::Result<ServeSnapshot> {
-        let service = Service::new(db);
-        self.run_with(&service)
-    }
-
-    /// Serve a live corpus: requests answer against the store's current
-    /// generation, swapping engines as the ingest applier publishes.
-    /// Returns when a `shutdown` request arrives.
-    pub fn run_live(&self, store: &Arc<SnapshotStore>) -> io::Result<ServeSnapshot> {
-        let live = LiveService::new(Arc::clone(store));
-        self.run_with(&live)
-    }
-
-    /// Serve with any [`Handler`] until a `shutdown` request arrives,
-    /// then drain and return the final serving-layer counters.
+    /// Serve with any [`Handler`] — a fixed-corpus
+    /// [`Service`](crate::Service), a generation-following
+    /// [`LiveService`](crate::LiveService) or a
+    /// [`ShardRouter`](crate::ShardRouter) — until a `shutdown` request
+    /// arrives, then drain and return the final serving-layer counters.
     pub fn run_with<H: Handler>(&self, service: &H) -> io::Result<ServeSnapshot> {
         self.run_with_extras(service, &[])
     }
 
-    /// Serve with any [`Handler`], multiplexing additional protocol
-    /// listeners (e.g. an HTTP explorer) on the same readiness loop,
-    /// worker pool, and admission queue. Extra listeners add no
-    /// per-connection threads, so they require [`IoMode::Evented`];
-    /// the threaded plane rejects them.
+    /// [`Server::run_with`], multiplexing additional protocol listeners
+    /// (e.g. an HTTP explorer) on the same readiness loop, worker pool,
+    /// and admission queue: workers drain the queue while this thread
+    /// runs the loop.
     pub fn run_with_extras<H: Handler>(
         &self,
         service: &H,
         extras: &[ExtraListener<'_>],
     ) -> io::Result<ServeSnapshot> {
-        match self.config.io {
-            IoMode::Evented => self.run_evented(service, extras),
-            IoMode::Threaded if extras.is_empty() => self.run_threaded(service),
-            IoMode::Threaded => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "extra protocol listeners require the evented io mode",
-            )),
-        }
-    }
-
-    /// The readiness-loop data plane: workers drain the queue, the main
-    /// thread runs the event loop (see [`crate::evloop`]).
-    fn run_evented<H: Handler>(
-        &self,
-        service: &H,
-        extras: &[ExtraListener<'_>],
-    ) -> io::Result<ServeSnapshot> {
         let queue = Queue::new(self.config.queue_depth);
-        let result: io::Result<()> = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..self.config.workers.max(1) {
                 scope.spawn(|| queue.worker(service));
             }
@@ -173,253 +94,9 @@ impl Server {
             // so workers also exit on an accept/poll error path.
             queue.close();
             r
-        });
-        result?;
+        })?;
         Ok(service.serve_stats().snapshot())
     }
-
-    /// The thread-per-connection data plane.
-    fn run_threaded<H: Handler>(&self, service: &H) -> io::Result<ServeSnapshot> {
-        let queue = Queue::new(self.config.queue_depth);
-        let shutdown = AtomicBool::new(false);
-        self.listener.set_nonblocking(true)?;
-
-        let result: io::Result<()> = std::thread::scope(|scope| {
-            for _ in 0..self.config.workers.max(1) {
-                scope.spawn(|| queue.worker(service));
-            }
-            loop {
-                if shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                match self.listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let queue = &queue;
-                        let shutdown = &shutdown;
-                        let max_frame = self.config.max_frame;
-                        scope.spawn(move || {
-                            // Per-connection IO errors (resets, broken
-                            // pipes) end that connection, not the server.
-                            let _ = handle_connection(stream, service, queue, shutdown, max_frame);
-                        });
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(POLL_INTERVAL);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e) => {
-                        shutdown.store(true, Ordering::SeqCst);
-                        queue.close();
-                        return Err(e);
-                    }
-                }
-            }
-            queue.close();
-            Ok(())
-        });
-        result?;
-        Ok(service.serve_stats().snapshot())
-    }
-}
-
-/// One in-order outbox entry: a pre-encoded frame body (hello-ack) or
-/// a response slot tagged with the protocol in force when its request
-/// arrived (a mid-pipeline hello must not re-code earlier answers).
-enum Outgoing {
-    Raw(Vec<u8>),
-    Slot(Arc<ResponseSlot>, Proto),
-}
-
-/// The in-order response outbox shared by a connection's reader and
-/// writer threads.
-struct Outbox {
-    inner: Mutex<OutboxInner>,
-    ready: Condvar,
-}
-
-struct OutboxInner {
-    entries: VecDeque<Outgoing>,
-    closed: bool,
-}
-
-impl Outbox {
-    fn new() -> Outbox {
-        Outbox {
-            inner: Mutex::new(OutboxInner {
-                entries: VecDeque::new(),
-                closed: false,
-            }),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn push(&self, entry: Outgoing) {
-        self.inner.lock().expect("outbox").entries.push_back(entry);
-        self.ready.notify_one();
-    }
-
-    fn close(&self) {
-        self.inner.lock().expect("outbox").closed = true;
-        self.ready.notify_one();
-    }
-
-    /// Pop the oldest pending entry; `None` once closed and drained.
-    fn next(&self) -> Option<Outgoing> {
-        let mut inner = self.inner.lock().expect("outbox");
-        loop {
-            if let Some(entry) = inner.entries.pop_front() {
-                return Some(entry);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self.ready.wait(inner).expect("outbox wait");
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.inner.lock().expect("outbox").entries.is_empty()
-    }
-}
-
-fn handle_connection<H: Handler>(
-    stream: TcpStream,
-    service: &H,
-    queue: &Queue,
-    shutdown: &AtomicBool,
-    max_frame: usize,
-) -> io::Result<()> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(POLL_INTERVAL))?;
-    let write_half = stream.try_clone()?;
-    let mut read_half = stream;
-    let outbox = Outbox::new();
-    let decode_ns = hft_obs::global().histogram("serve.decode_ns");
-
-    std::thread::scope(|scope| {
-        let outbox = &outbox;
-        scope.spawn(move || {
-            let _ = writer_loop(write_half, outbox);
-        });
-
-        let mut frames = FrameReader::new();
-        let mut proto = Proto::default();
-        let filled = |response: Response, proto: Proto| {
-            Outgoing::Slot(ResponseSlot::filled(response), proto)
-        };
-        loop {
-            if shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let body = match frames.read_from(&mut read_half, max_frame) {
-                Ok(FrameEvent::Frame(body)) => body,
-                Ok(FrameEvent::Idle) => continue,
-                Ok(FrameEvent::Eof) => break,
-                Ok(FrameEvent::Oversized(len)) => {
-                    // The stream is desynchronized past this point:
-                    // answer, then hang up.
-                    service.serve_stats().on_received();
-                    outbox.push(filled(
-                        Response::Error {
-                            message: format!("oversized frame: {len} bytes (max {max_frame})"),
-                        },
-                        proto,
-                    ));
-                    break;
-                }
-                Err(_) => break,
-            };
-            if let Some(hello) = binwire::parse_hello(&body) {
-                match hello {
-                    Ok(requested) => {
-                        proto = requested;
-                        outbox.push(Outgoing::Raw(binwire::hello_ack(requested)));
-                    }
-                    Err(e) => outbox.push(filled(
-                        Response::Error {
-                            message: format!("bad hello: {e}"),
-                        },
-                        proto,
-                    )),
-                }
-                continue;
-            }
-            service.serve_stats().on_received();
-            let started = Instant::now();
-            let decoded = binwire::sniff_request(&body);
-            decode_ns.record(started.elapsed().as_nanos() as u64);
-            let request = match decoded {
-                Ok(request) => request,
-                Err(message) => {
-                    outbox.push(filled(
-                        Response::Error {
-                            message: format!("bad request: {message}"),
-                        },
-                        proto,
-                    ));
-                    continue;
-                }
-            };
-            match request {
-                Request::Shutdown => {
-                    service.serve_stats().on_completed(false);
-                    outbox.push(filled(Response::ShuttingDown, proto));
-                    shutdown.store(true, Ordering::SeqCst);
-                    break;
-                }
-                Request::Stats => {
-                    let response = service.handle(&Request::Stats);
-                    service.serve_stats().on_completed(false);
-                    outbox.push(Outgoing::Slot(ResponseSlot::filled(response), proto));
-                }
-                Request::Metrics | Request::Traces { .. } => {
-                    // Like `stats`: telemetry must answer even when the
-                    // admission queue is saturated.
-                    let response = service.handle(&request);
-                    service.serve_stats().on_completed(false);
-                    outbox.push(Outgoing::Slot(ResponseSlot::filled(response), proto));
-                }
-                request => match queue.submit(request, service.serve_stats()) {
-                    Ok(slot) => outbox.push(Outgoing::Slot(slot, proto)),
-                    Err(SubmitError::Overloaded) => {
-                        outbox.push(filled(Response::Overloaded, proto));
-                    }
-                    Err(SubmitError::Closed) => {
-                        outbox.push(filled(Response::ShuttingDown, proto));
-                        break;
-                    }
-                },
-            }
-        }
-        outbox.close();
-    });
-    Ok(())
-}
-
-/// Drain the outbox in order, writing each response as its slot fills.
-/// Flushes whenever the outbox runs dry, so serial (ping-pong) clients
-/// see no added latency while pipelined clients get batched syscalls.
-fn writer_loop(stream: TcpStream, outbox: &Outbox) -> io::Result<()> {
-    let mut w = BufWriter::new(stream);
-    let encode_ns = hft_obs::global().histogram("serve.encode_ns");
-    let mut body = Vec::new();
-    while let Some(entry) = outbox.next() {
-        body.clear();
-        match entry {
-            Outgoing::Raw(bytes) => body.extend_from_slice(&bytes),
-            Outgoing::Slot(slot, proto) => {
-                let response = slot.wait();
-                let started = Instant::now();
-                binwire::response_bytes_into(proto, &response, &mut body);
-                encode_ns.record(started.elapsed().as_nanos() as u64);
-            }
-        }
-        wire::write_frame(&mut w, &body)?;
-        if outbox.is_empty() {
-            w.flush()?;
-        }
-    }
-    w.flush()
 }
 
 /// A blocking wire client, usable serially (`call`) or pipelined
@@ -514,27 +191,9 @@ impl Client {
 
     /// Block until the next response arrives.
     pub fn recv(&mut self) -> io::Result<Response> {
-        loop {
-            match self.frames.read_from(&mut self.reader, self.max_frame)? {
-                FrameEvent::Frame(body) => {
-                    return binwire::response_from(self.proto, &body)
-                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()));
-                }
-                FrameEvent::Eof => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "server closed the connection",
-                    ));
-                }
-                FrameEvent::Oversized(len) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("oversized response frame: {len} bytes"),
-                    ));
-                }
-                FrameEvent::Idle => continue,
-            }
-        }
+        let body = self.recv_frame()?;
+        binwire::response_from(self.proto, &body)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
     }
 
     /// One serial round trip: send, flush, await the response.

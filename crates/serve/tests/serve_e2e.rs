@@ -132,7 +132,7 @@ fn served_bytes_equal_direct_session_bytes() {
     let addr = server.local_addr().unwrap();
 
     std::thread::scope(|scope| {
-        let handle = scope.spawn(|| server.run(&eco.db).unwrap());
+        let handle = scope.spawn(|| server.run_with(&Service::new(&eco.db)).unwrap());
 
         // Serial round trips.
         let mut client = Client::connect(&addr).unwrap();
@@ -188,7 +188,7 @@ fn metrics_request_exposes_registry_over_the_wire() {
     let addr = server.local_addr().unwrap();
 
     std::thread::scope(|scope| {
-        let handle = scope.spawn(|| server.run(&eco.db).unwrap());
+        let handle = scope.spawn(|| server.run_with(&Service::new(&eco.db)).unwrap());
 
         let mut client = Client::connect(&addr).unwrap();
         // Drive some real work through the pool so the serve.* family
@@ -273,7 +273,7 @@ fn malformed_frame_answers_error_and_connection_survives() {
     let addr = server.local_addr().unwrap();
 
     std::thread::scope(|scope| {
-        let handle = scope.spawn(|| server.run(&eco.db).unwrap());
+        let handle = scope.spawn(|| server.run_with(&Service::new(&eco.db)).unwrap());
 
         use std::io::Write;
         let mut stream = std::net::TcpStream::connect(addr).unwrap();

@@ -1,7 +1,6 @@
-//! End-to-end coverage of the binary wire protocol and the two I/O
-//! planes: a binary-negotiating client must get byte-identical answers
-//! (post-decode) to a direct in-process session on both the evented
-//! and the threaded plane, JSON and binary clients must coexist on one
+//! End-to-end coverage of the binary wire protocol: a binary-negotiating
+//! client must get byte-identical answers (post-decode) to a direct
+//! in-process session, JSON and binary clients must coexist on one
 //! server, and a connection that upgrades mid-stream must see its
 //! pre-hello answers in JSON and post-hello answers in binary.
 
@@ -9,7 +8,7 @@ use hft_corridor::{chicago_nj, generate, GeneratedEcosystem};
 use hft_serve::api::{Request, Response};
 use hft_serve::binwire;
 use hft_serve::wire::{self, FrameEvent, FrameReader, DEFAULT_MAX_FRAME};
-use hft_serve::{Client, IoMode, Proto, ServeConfig, Server, Service};
+use hft_serve::{Client, Proto, ServeConfig, Server, Service};
 use hft_time::Date;
 use std::net::TcpStream;
 use std::sync::OnceLock;
@@ -71,29 +70,29 @@ fn next_frame(reader: &mut FrameReader, stream: &mut TcpStream) -> Vec<u8> {
     }
 }
 
-fn bind(io: IoMode) -> Server {
+fn bind() -> Server {
     Server::bind(ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 3,
         queue_depth: 32,
-        io,
         ..ServeConfig::default()
     })
     .unwrap()
 }
 
-/// Binary client, serial and pipelined, against each I/O plane: the
-/// wire format cannot change an answer.
-fn binary_round_trips_on(io: IoMode) {
+/// Binary client, serial and pipelined: the wire format cannot change
+/// an answer.
+#[test]
+fn binary_round_trips() {
     let eco = eco();
     let mix = mix();
     let reference = Service::new(&eco.db);
     let expected: Vec<Vec<u8>> = mix.iter().map(|r| reference.handle(r).encode()).collect();
 
-    let server = bind(io);
+    let server = bind();
     let addr = server.local_addr().unwrap();
     std::thread::scope(|scope| {
-        let handle = scope.spawn(|| server.run(&eco.db).unwrap());
+        let handle = scope.spawn(|| server.run_with(&Service::new(&eco.db)).unwrap());
 
         let mut bin = Client::connect_with(&addr, Proto::Binary).unwrap();
         assert_eq!(bin.proto(), Proto::Binary);
@@ -128,16 +127,6 @@ fn binary_round_trips_on(io: IoMode) {
     });
 }
 
-#[test]
-fn binary_round_trips_evented() {
-    binary_round_trips_on(IoMode::Evented);
-}
-
-#[test]
-fn binary_round_trips_threaded() {
-    binary_round_trips_on(IoMode::Threaded);
-}
-
 /// A raw socket that starts in JSON, upgrades mid-stream, and keeps
 /// pipelining: answers to requests sent before the hello arrive as
 /// JSON, the hello is acknowledged in order, and answers after it
@@ -152,10 +141,10 @@ fn mid_stream_hello_switches_response_codec_in_order() {
     };
     let want = Service::new(&eco.db).handle(&request).encode();
 
-    let server = bind(IoMode::Evented);
+    let server = bind();
     let addr = server.local_addr().unwrap();
     std::thread::scope(|scope| {
-        let handle = scope.spawn(|| server.run(&eco.db).unwrap());
+        let handle = scope.spawn(|| server.run_with(&Service::new(&eco.db)).unwrap());
 
         let mut stream = TcpStream::connect(addr).unwrap();
         // JSON request, hello, binary request — all flooded before
@@ -198,10 +187,10 @@ fn mid_stream_hello_switches_response_codec_in_order() {
 #[test]
 fn malformed_binary_frame_answers_error_and_survives() {
     let eco = eco();
-    let server = bind(IoMode::Evented);
+    let server = bind();
     let addr = server.local_addr().unwrap();
     std::thread::scope(|scope| {
-        let handle = scope.spawn(|| server.run(&eco.db).unwrap());
+        let handle = scope.spawn(|| server.run_with(&Service::new(&eco.db)).unwrap());
 
         let mut stream = TcpStream::connect(addr).unwrap();
         wire::write_frame(&mut stream, &binwire::hello(Proto::Binary)).unwrap();

@@ -8,7 +8,7 @@
 
 use hft_corridor::{chicago_nj, generate, GeneratedEcosystem};
 use hft_serve::api::{Request, Response};
-use hft_serve::{Client, IoMode, Proto, ServeConfig, Server, Service};
+use hft_serve::{Client, Proto, ServeConfig, Server, Service};
 use std::sync::OnceLock;
 
 fn eco() -> &'static GeneratedEcosystem {
@@ -30,7 +30,6 @@ fn evented_plane_files_slow_queries() {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         queue_depth: 16,
-        io: IoMode::Evented,
         ..ServeConfig::default()
     })
     .expect("bind");

@@ -12,7 +12,7 @@
 use hft_corridor::{chicago_nj, generate, GeneratedEcosystem};
 use hft_ingest::ShardedStore;
 use hft_serve::api::{Request, Response};
-use hft_serve::{Client, IoMode, Proto, ServeConfig, Server, ShardRouter};
+use hft_serve::{Client, Proto, ServeConfig, Server, ShardRouter};
 use hft_uls::shard::ShardStrategy;
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
@@ -37,7 +37,6 @@ fn scatter_request_yields_cross_shard_waterfall() {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         queue_depth: 16,
-        io: IoMode::Evented,
         ..ServeConfig::default()
     })
     .expect("bind");

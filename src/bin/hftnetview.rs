@@ -83,7 +83,6 @@ struct Args {
     prom: bool,
     shards: usize,
     strategy: hft_uls::ShardStrategy,
-    io: hft_serve::IoMode,
     trace_sample: Option<u64>,
     connect: Option<String>,
     id: Option<u128>,
@@ -109,7 +108,6 @@ fn parse_args() -> Result<Args, String> {
         prom: false,
         shards: 1,
         strategy: hft_uls::ShardStrategy::LicenseeHash,
-        io: hft_serve::IoMode::default(),
         trace_sample: None,
         connect: None,
         id: None,
@@ -170,11 +168,6 @@ fn parse_args() -> Result<Args, String> {
                 parsed.strategy = hft_uls::ShardStrategy::parse(&v)
                     .ok_or_else(|| format!("bad strategy {v:?} (licensee|spatial)"))?;
             }
-            "--io" => {
-                let v = args.next().ok_or("--io needs a value")?;
-                parsed.io = hft_serve::IoMode::parse(&v)
-                    .ok_or_else(|| format!("bad io mode {v:?} (evented|threaded)"))?;
-            }
             "--trace-sample" => {
                 let v = args.next().ok_or("--trace-sample needs a value")?;
                 parsed.trace_sample =
@@ -202,7 +195,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn usage() -> String {
-    "usage: hftnetview <funnel|table1|table2|table3|fig1|fig2|fig3|fig4a|fig4b|fig5|weather|race|entity|overhead|export|yaml NAME|serve|trace|ingest|metrics|all> [--seed N] [--out DIR] [--stats] [--port N] [--http PORT] [--workers N] [--queue-depth N] [--shards N] [--strategy licensee|spatial] [--io evented|threaded] [--trace-sample N] [--follow DIR] [--metrics-interval SECS] [--metrics-out PATH] [--prom] [--connect HOST:PORT] [--id HEX] [--limit N]".to_string()
+    "usage: hftnetview <funnel|table1|table2|table3|fig1|fig2|fig3|fig4a|fig4b|fig5|weather|race|entity|overhead|export|yaml NAME|serve|trace|ingest|metrics|all> [--seed N] [--out DIR] [--stats] [--port N] [--http PORT] [--workers N] [--queue-depth N] [--shards N] [--strategy licensee|spatial] [--trace-sample N] [--follow DIR] [--metrics-interval SECS] [--metrics-out PATH] [--prom] [--connect HOST:PORT] [--id HEX] [--limit N]".to_string()
 }
 
 fn write(path: &Path, contents: &str) -> std::io::Result<()> {
@@ -229,7 +222,6 @@ fn run(args: &Args) -> Result<(), String> {
             addr: format!("127.0.0.1:{}", args.port),
             workers: args.workers,
             queue_depth: args.queue_depth,
-            io: args.io,
             ..hft_serve::ServeConfig::default()
         })
         .map_err(io_err)?;
@@ -720,9 +712,7 @@ fn spawn_metrics_dumper(
 
 /// Run the serve loop over `host`, optionally registering the HTTP
 /// explorer on `http` as an extra listener multiplexed on the same
-/// readiness loop, worker pool, and admission queue. The explorer
-/// requires the evented io plane (`run_with_extras` rejects
-/// `--io threaded --http PORT` combinations).
+/// readiness loop, worker pool, and admission queue.
 fn run_serve<H: hft_http::HttpHost + Sync>(
     server: &hft_serve::Server,
     host: &H,
