@@ -1119,350 +1119,6 @@ pub fn response_from(proto: Proto, body: &[u8]) -> Result<Response, String> {
 mod tests {
     use super::*;
 
-    fn date(y: i32, m: u32, d: u32) -> Date {
-        Date::new(y, m, d).unwrap()
-    }
-
-    fn sample_requests() -> Vec<Request> {
-        vec![
-            Request::Geographic {
-                lat_deg: 41.7625,
-                lon_deg: -88.1712,
-                radius_km: 10.0,
-            },
-            Request::SiteSearch {
-                service: "MG".into(),
-                class: "FXO".into(),
-            },
-            Request::Shortlist {
-                lat_deg: 41.0,
-                lon_deg: -88.0,
-                radius_km: 25.0,
-                min_filings: 11,
-            },
-            Request::Network {
-                licensee: "Alpha Networks".into(),
-                date: date(2020, 4, 1),
-            },
-            Request::Route {
-                licensee: "Alpha Networks".into(),
-                date: date(2020, 4, 1),
-                from: "CME".into(),
-                to: "NY4".into(),
-            },
-            Request::Apa {
-                licensee: "β Networks — 世界".into(),
-                date: date(2019, 12, 31),
-                from: "CME".into(),
-                to: "NASDAQ".into(),
-            },
-            Request::Weather {
-                licensee: "Alpha Networks".into(),
-                date: date(2020, 4, 1),
-                from: "CME".into(),
-                to: "NY4".into(),
-                samples: 60_000,
-                seed: u64::MAX,
-            },
-            Request::Race {
-                licensee: "Alpha Networks".into(),
-                date: date(2020, 4, 1),
-                from: "CME".into(),
-                to: "NY4".into(),
-                constellation: "starlink".into(),
-                samples: 5_000,
-                seed: 7,
-            },
-            Request::StretchSweep {
-                licensee: "β Networks — 世界".into(),
-                date: date(2016, 6, 1),
-                constellation: "starlink".into(),
-            },
-            Request::Stats,
-            Request::Metrics,
-            Request::Traces {
-                limit: 16,
-                trace_id: None,
-            },
-            Request::Traces {
-                limit: 1,
-                trace_id: Some(0xdead_beef_0123_4567_89ab_cdef_f00d_cafe),
-            },
-            Request::Shutdown,
-        ]
-    }
-
-    fn sample_responses() -> Vec<Response> {
-        vec![
-            Response::Licenses {
-                ids: vec![0, 1, 127, 128, 300, u64::MAX],
-            },
-            Response::Shortlist {
-                geographic_candidates: 57,
-                service_filtered: 40,
-                shortlisted: 29,
-                names: vec!["Alpha".into(), "β — 世界".into(), String::new()],
-            },
-            Response::Network {
-                licensee: "Alpha Networks".into(),
-                as_of: date(2020, 4, 1),
-                towers: 20,
-                links: 19,
-                active_licenses: 47,
-            },
-            Response::Route {
-                latency_ms: Some(4.25),
-                towers: Some(20),
-                length_m: Some(1_180_000.0),
-            },
-            Response::Route {
-                latency_ms: None,
-                towers: None,
-                length_m: None,
-            },
-            Response::Apa { apa: Some(0.75) },
-            Response::Apa { apa: None },
-            Response::Weather {
-                clear_ms: 4.2,
-                p50_ms: 4.3,
-                p95_ms: f64::INFINITY,
-                p99_ms: f64::INFINITY,
-                availability: 0.97,
-                samples: 60_000,
-            },
-            Response::Race {
-                from: "CME".into(),
-                to: "NY4".into(),
-                constellation: "starlink".into(),
-                geodesic_km: 1186.0,
-                c_bound_ms: 3.956,
-                microwave_ms: Some(3.982),
-                fiber_ms: 7.12,
-                leo_ms: Some(9.4),
-                leo_isl_hops: Some(3),
-                mw_stretch: Some(1.0066),
-                fiber_stretch: 1.8,
-                leo_stretch: Some(2.38),
-                winner: "microwave".into(),
-                wx_clear_ms: 3.982,
-                wx_p50_ms: 3.982,
-                wx_p95_ms: 4.2,
-                wx_p99_ms: f64::INFINITY,
-                wx_availability: 0.985,
-                wx_samples: 5_000,
-            },
-            Response::Race {
-                from: "CME".into(),
-                to: "NASDAQ".into(),
-                constellation: "starlink".into(),
-                geodesic_km: 1176.0,
-                c_bound_ms: 3.92,
-                microwave_ms: None,
-                fiber_ms: 7.06,
-                leo_ms: None,
-                leo_isl_hops: None,
-                mw_stretch: None,
-                fiber_stretch: 1.8,
-                leo_stretch: None,
-                winner: "fiber".into(),
-                wx_clear_ms: f64::INFINITY,
-                wx_p50_ms: f64::INFINITY,
-                wx_p95_ms: f64::INFINITY,
-                wx_p99_ms: f64::INFINITY,
-                wx_availability: 0.0,
-                wx_samples: 0,
-            },
-            Response::StretchSweep {
-                entries: vec![
-                    SweepEntry {
-                        pair: "CME-NY4".into(),
-                        geodesic_km: 1186.0,
-                        mw_stretch: Some(1.0066),
-                        fiber_stretch: 1.8,
-                        leo_stretch: Some(2.38),
-                    },
-                    SweepEntry {
-                        pair: "Tokyo-NewYork".into(),
-                        geodesic_km: 10_850.0,
-                        mw_stretch: None,
-                        fiber_stretch: 1.8,
-                        leo_stretch: Some(1.42),
-                    },
-                ],
-            },
-            Response::StretchSweep { entries: vec![] },
-            Response::Stats {
-                serve: ServeSnapshot {
-                    received: 10,
-                    accepted: 9,
-                    rejected_overloaded: 1,
-                    completed: 9,
-                    errors: 2,
-                    flights_led: 5,
-                    flights_coalesced: 3,
-                    queue_wait_ns_total: 123_456,
-                    queue_wait_ns_max: 45_678,
-                    service_ns_total: 999_999,
-                    service_ns_max: 888_888,
-                    queue_high_water: 7,
-                    generation_swaps: 3,
-                },
-                session: StatsSnapshot {
-                    network_hits: 1,
-                    reconstructions: 2,
-                    route_hits: 3,
-                    route_misses: 4,
-                    apa_hits: 5,
-                    apa_misses: 6,
-                    graph_hits: 7,
-                    graph_misses: 8,
-                },
-            },
-            Response::Metrics {
-                registry: Json::Obj(vec![
-                    (
-                        "counters".into(),
-                        Json::Obj(vec![("serve.received".into(), Json::Num(12.0))]),
-                    ),
-                    ("gauges".into(), Json::Obj(vec![])),
-                    (
-                        "histograms".into(),
-                        Json::Obj(vec![(
-                            "serve.service_ns".into(),
-                            Json::Obj(vec![
-                                ("count".into(), Json::Num(3.0)),
-                                ("p50".into(), Json::Num(1500.0)),
-                            ]),
-                        )]),
-                    ),
-                ]),
-            },
-            Response::Traces {
-                traces: vec![WireTrace {
-                    trace_id: u128::MAX,
-                    label: "shortlist".into(),
-                    sampled: true,
-                    slow: true,
-                    total_ns: 61_000_000,
-                    spans: vec![
-                        WireSpan {
-                            name: "serve.request".into(),
-                            parent: None,
-                            start_ns: 0,
-                            dur_ns: 61_000_000,
-                            shard: None,
-                        },
-                        WireSpan {
-                            name: "queue.wait".into(),
-                            parent: Some(0),
-                            start_ns: 0,
-                            dur_ns: 1_000_000,
-                            shard: None,
-                        },
-                        WireSpan {
-                            name: "shard.call".into(),
-                            parent: Some(0),
-                            start_ns: 1_000_000,
-                            dur_ns: 59_000_000,
-                            shard: Some(3),
-                        },
-                    ],
-                }],
-            },
-            Response::Traces { traces: vec![] },
-            Response::Error {
-                message: "unknown data center \"LD4\"".into(),
-            },
-            Response::Overloaded,
-            Response::ShuttingDown,
-        ]
-    }
-
-    #[test]
-    fn requests_round_trip() {
-        for req in sample_requests() {
-            let bytes = encode_request(&req);
-            assert!(is_binary(&bytes));
-            let back = decode_request(&bytes).unwrap();
-            assert_eq!(back, req);
-            // Deterministic: re-encoding is byte-identical.
-            assert_eq!(encode_request(&back), bytes);
-        }
-    }
-
-    #[test]
-    fn responses_round_trip() {
-        for resp in sample_responses() {
-            let bytes = encode_response(&resp);
-            assert!(is_binary(&bytes));
-            let back = decode_response(&bytes).unwrap();
-            assert_eq!(back, resp);
-            assert_eq!(encode_response(&back), bytes);
-        }
-    }
-
-    #[test]
-    fn binary_fixed_point_matches_json_fixed_point() {
-        // The acceptance property: decoding the binary encoding lands on
-        // exactly the value the JSON round trip lands on, variant by
-        // variant — including the null/+∞/None canonicalizations. The
-        // comparison stays inside the JSON codec's 2⁵³ integer domain
-        // (the binary codec is exact over all of u64; JSON is not).
-        let json_safe = |r: Response| match r {
-            Response::Licenses { ids } => Response::Licenses {
-                ids: ids.into_iter().map(|id| id.min((1 << 53) - 1)).collect(),
-            },
-            other => other,
-        };
-        let mut weird: Vec<Response> = sample_responses().into_iter().map(json_safe).collect();
-        weird.push(Response::Route {
-            latency_ms: Some(f64::INFINITY), // JSON writes null, reads None
-            towers: Some(3),
-            length_m: Some(f64::NAN), // likewise
-        });
-        weird.push(Response::Weather {
-            clear_ms: f64::NAN, // JSON writes null, reads +∞
-            p50_ms: 1.0,
-            p95_ms: 2.0,
-            p99_ms: f64::NEG_INFINITY,
-            availability: 1.0,
-            samples: 10,
-        });
-        for resp in weird {
-            let via_bin = decode_response(&encode_response(&resp)).unwrap();
-            let via_json = Response::decode(&resp.encode()).unwrap();
-            assert_eq!(via_bin, via_json, "fixed points diverge for {resp:?}");
-        }
-        let json_safe_req = |r: Request| match r {
-            Request::Weather { seed, .. } if seed >= (1 << 53) => Request::Weather {
-                licensee: "Alpha Networks".into(),
-                date: date(2020, 4, 1),
-                from: "CME".into(),
-                to: "NY4".into(),
-                samples: 60_000,
-                seed: (1 << 53) - 1,
-            },
-            other => other,
-        };
-        for req in sample_requests().into_iter().map(json_safe_req) {
-            let via_bin = decode_request(&encode_request(&req)).unwrap();
-            let via_json = Request::decode(&req.encode()).unwrap();
-            assert_eq!(via_bin, via_json);
-        }
-    }
-
-    #[test]
-    fn binary_is_smaller_than_json_on_the_wire() {
-        for resp in sample_responses() {
-            let bin = encode_response(&resp).len();
-            let json = resp.encode().len();
-            assert!(
-                bin <= json,
-                "binary ({bin} B) larger than JSON ({json} B) for {resp:?}"
-            );
-        }
-    }
-
     #[test]
     fn hello_frames_round_trip_and_classify() {
         for proto in [Proto::Json, Proto::Binary] {
@@ -1490,30 +1146,6 @@ mod tests {
         assert_eq!(
             parse_hello(&[MAGIC, KIND_HELLO]),
             Some(Err(DecodeError::Truncated))
-        );
-    }
-
-    #[test]
-    fn truncation_and_trailing_bytes_are_structured_errors() {
-        let bytes = encode_response(&sample_responses()[1]);
-        for cut in 0..bytes.len() {
-            let err = decode_response(&bytes[..cut]).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    DecodeError::Truncated
-                        | DecodeError::BadLength(_)
-                        | DecodeError::BadMagic(_)
-                        | DecodeError::BadKind(_)
-                ),
-                "cut at {cut}: {err:?}"
-            );
-        }
-        let mut padded = bytes.clone();
-        padded.push(0);
-        assert_eq!(
-            decode_response(&padded).unwrap_err(),
-            DecodeError::Trailing(1)
         );
     }
 
