@@ -3,7 +3,7 @@
 //!
 //! Framing is unchanged (4-byte big-endian length prefix, see
 //! [`crate::wire`]); this module defines an alternative *body* encoding
-//! next to the deterministic JSON one in [`crate::api`]:
+//! next to the deterministic JSON one:
 //!
 //! ```text
 //! [0xB7] [kind] [payload…]
@@ -15,7 +15,10 @@
 //!
 //! The magic byte `0xB7` is a UTF-8 continuation byte, so no binary
 //! body can ever be confused with a JSON one (JSON bodies start with
-//! `{`) and vice versa. Field primitives:
+//! `{`) and vice versa. Each variant's tag and field order come from the
+//! one table in [`crate::api`], which also drives the JSON codec; this
+//! module owns the frame header, the hello frames and the bounds-checked
+//! reader. Field primitives:
 //!
 //! * unsigned integers — LEB128 varints (≤ 10 bytes, exact over `u64`,
 //!   unlike the JSON codec's 2⁵³ double limit),
@@ -23,7 +26,8 @@
 //! * strings — varint byte length + UTF-8 bytes,
 //! * `Option<T>` — presence byte `0`/`1` then `T`,
 //! * dates — varint year, month byte, day byte (validated on decode),
-//! * vectors — varint element count + elements.
+//! * vectors — varint element count + elements,
+//! * trace ids — 16 little-endian bytes.
 //!
 //! Decoding is total: every length is bounds-checked against the bytes
 //! actually present before any allocation, recursion (the `metrics`
@@ -31,15 +35,12 @@
 //! [`DecodeError`] — truncated, bit-flipped or hostile frames can never
 //! panic the decoder. Values that the JSON codec canonicalizes (e.g.
 //! non-finite latencies encode as `null` and decode as `+∞`/`None`) are
-//! normalized identically here, so `decode(encode(x))` equals the JSON
-//! round trip of `x` on every variant — the fixed point the byte-level
-//! verification harness relies on.
+//! normalized identically here, by the same per-type code, so
+//! `decode(encode(x))` equals the JSON round trip of `x` on every
+//! variant — the fixed point the byte-level verification harness relies
+//! on.
 
-use crate::api::{Request, Response, SweepEntry, WireSpan, WireTrace};
-use crate::json::Json;
-use crate::stats::ServeSnapshot;
-use hft_core::session::StatsSnapshot;
-use hft_time::Date;
+use crate::api::{Request, Response};
 
 /// First byte of every binary-protocol frame body.
 pub const MAGIC: u8 = 0xB7;
@@ -51,11 +52,6 @@ const KIND_HELLO: u8 = 0x00;
 const KIND_HELLO_ACK: u8 = 0x01;
 const KIND_REQUEST: u8 = 0x02;
 const KIND_RESPONSE: u8 = 0x03;
-
-/// Maximum nesting depth accepted when decoding a [`Json`] value (the
-/// `metrics` registry payload is 3 levels deep; hostile frames must not
-/// be able to recurse the decoder off the stack).
-const MAX_JSON_DEPTH: usize = 32;
 
 /// The per-connection wire encoding, as negotiated by the hello frame.
 /// Connections start in [`Proto::Json`]; a hello frame switches them.
@@ -205,99 +201,9 @@ fn decode_hello_payload(body: &[u8]) -> Result<Proto, DecodeError> {
     Proto::from_code(code).ok_or(DecodeError::BadProto(code))
 }
 
-// ---- Primitive writers. ----
-
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
-    }
-}
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_varint(buf, s.len() as u64);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn put_date(buf: &mut Vec<u8>, d: &Date) {
-    put_varint(buf, d.year() as u64);
-    buf.push(d.month() as u8);
-    buf.push(d.day() as u8);
-}
-
-/// Mirror of the JSON codec's `null` canonicalization: a non-finite
-/// optional latency encodes as absent.
-fn put_opt_f64(buf: &mut Vec<u8>, v: Option<f64>) {
-    match v.filter(|x| x.is_finite()) {
-        None => buf.push(0),
-        Some(x) => {
-            buf.push(1);
-            put_f64(buf, x);
-        }
-    }
-}
-
-fn put_opt_varint(buf: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        None => buf.push(0),
-        Some(x) => {
-            buf.push(1);
-            put_varint(buf, x);
-        }
-    }
-}
-
-/// Weather percentiles: the JSON codec writes non-finite values as
-/// `null` and reads `null` back as `+∞`; normalizing at encode time
-/// keeps the two codecs' fixed points identical.
-fn put_latency(buf: &mut Vec<u8>, v: f64) {
-    put_f64(buf, if v.is_finite() { v } else { f64::INFINITY });
-}
-
-fn put_json(buf: &mut Vec<u8>, v: &Json) {
-    match v {
-        Json::Null => buf.push(0),
-        Json::Bool(false) => buf.push(1),
-        Json::Bool(true) => buf.push(2),
-        Json::Num(x) => {
-            buf.push(3);
-            put_f64(buf, *x);
-        }
-        Json::Str(s) => {
-            buf.push(4);
-            put_str(buf, s);
-        }
-        Json::Arr(items) => {
-            buf.push(5);
-            put_varint(buf, items.len() as u64);
-            for item in items {
-                put_json(buf, item);
-            }
-        }
-        Json::Obj(pairs) => {
-            buf.push(6);
-            put_varint(buf, pairs.len() as u64);
-            for (k, item) in pairs {
-                put_str(buf, k);
-                put_json(buf, item);
-            }
-        }
-    }
-}
-
-// ---- Primitive readers. ----
-
-/// A bounds-checked cursor over one frame body.
-struct Cur<'a> {
+/// A bounds-checked cursor over one frame body: every read checks the
+/// bytes actually present, so no input can make the decoder panic.
+pub(crate) struct Cur<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
@@ -311,13 +217,13 @@ impl<'a> Cur<'a> {
         self.bytes.len() - self.pos
     }
 
-    fn u8(&mut self) -> Result<u8, DecodeError> {
+    pub(crate) fn u8(&mut self) -> Result<u8, DecodeError> {
         let b = *self.bytes.get(self.pos).ok_or(DecodeError::Truncated)?;
         self.pos += 1;
         Ok(b)
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         if self.remaining() < n {
             return Err(DecodeError::Truncated);
         }
@@ -326,10 +232,10 @@ impl<'a> Cur<'a> {
         Ok(s)
     }
 
-    fn varint(&mut self) -> Result<u64, DecodeError> {
+    pub(crate) fn varint(&mut self) -> Result<u64, DecodeError> {
         let mut v: u64 = 0;
         for shift in (0..64).step_by(7) {
-            let byte = self.u8().map_err(|_| DecodeError::Truncated)?;
+            let byte = self.u8()?;
             let bits = (byte & 0x7f) as u64;
             if shift == 63 && bits > 1 {
                 return Err(DecodeError::BadVarint);
@@ -344,7 +250,7 @@ impl<'a> Cur<'a> {
 
     /// A varint that must also fit the bytes still present — used for
     /// every length so hostile frames cannot force large allocations.
-    fn len_prefix(&mut self) -> Result<usize, DecodeError> {
+    pub(crate) fn len_prefix(&mut self) -> Result<usize, DecodeError> {
         let n = self.varint()?;
         if n > self.remaining() as u64 {
             return Err(DecodeError::BadLength(n));
@@ -352,238 +258,35 @@ impl<'a> Cur<'a> {
         Ok(n as usize)
     }
 
-    fn f64(&mut self) -> Result<f64, DecodeError> {
-        let raw = self.take(8)?;
-        Ok(f64::from_le_bytes(raw.try_into().expect("8 bytes")))
-    }
-
-    fn str(&mut self) -> Result<String, DecodeError> {
-        let n = self.len_prefix()?;
-        let raw = self.take(n)?;
-        std::str::from_utf8(raw)
-            .map(str::to_string)
-            .map_err(|_| DecodeError::BadUtf8)
-    }
-
-    fn date(&mut self) -> Result<Date, DecodeError> {
-        let y = self.varint()?;
-        let m = self.u8()?;
-        let d = self.u8()?;
-        if y > 9999 {
-            return Err(DecodeError::BadDate);
+    /// Check the frame header, decode the body with `body`, and reject
+    /// trailing bytes.
+    fn frame<T>(
+        bytes: &'a [u8],
+        kind: u8,
+        body: fn(&mut Cur<'a>) -> Result<T, DecodeError>,
+    ) -> Result<T, DecodeError> {
+        let mut cur = Cur::new(bytes);
+        let magic = cur.u8()?;
+        if magic != MAGIC {
+            return Err(DecodeError::BadMagic(magic));
         }
-        Date::new(y as i32, m as u32, d as u32).map_err(|_| DecodeError::BadDate)
-    }
-
-    fn presence(&mut self) -> Result<bool, DecodeError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(DecodeError::BadPresence(b)),
+        let k = cur.u8()?;
+        if k != kind {
+            return Err(DecodeError::BadKind(k));
         }
-    }
-
-    fn opt_f64(&mut self) -> Result<Option<f64>, DecodeError> {
-        Ok(if self.presence()? {
-            Some(self.f64()?)
-        } else {
-            None
-        })
-    }
-
-    fn opt_varint(&mut self) -> Result<Option<u64>, DecodeError> {
-        Ok(if self.presence()? {
-            Some(self.varint()?)
-        } else {
-            None
-        })
-    }
-
-    /// A latency read mirrors the JSON `null → +∞` rule for any
-    /// non-finite bits, so hostile NaN bits cannot smuggle a value the
-    /// JSON codec could never produce.
-    fn latency(&mut self) -> Result<f64, DecodeError> {
-        let v = self.f64()?;
-        Ok(if v.is_finite() { v } else { f64::INFINITY })
-    }
-
-    fn json(&mut self, depth: usize) -> Result<Json, DecodeError> {
-        if depth >= MAX_JSON_DEPTH {
-            return Err(DecodeError::TooDeep);
-        }
-        match self.u8()? {
-            0 => Ok(Json::Null),
-            1 => Ok(Json::Bool(false)),
-            2 => Ok(Json::Bool(true)),
-            3 => Ok(Json::Num(self.f64()?)),
-            4 => Ok(Json::Str(self.str()?)),
-            5 => {
-                let n = self.len_prefix()?;
-                let mut items = Vec::with_capacity(n);
-                for _ in 0..n {
-                    items.push(self.json(depth + 1)?);
-                }
-                Ok(Json::Arr(items))
-            }
-            6 => {
-                let n = self.len_prefix()?;
-                let mut pairs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let k = self.str()?;
-                    pairs.push((k, self.json(depth + 1)?));
-                }
-                Ok(Json::Obj(pairs))
-            }
-            t => Err(DecodeError::BadTag("json value", t)),
-        }
-    }
-
-    fn finish(self) -> Result<(), DecodeError> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(DecodeError::Trailing(self.bytes.len() - self.pos))
+        let value = body(&mut cur)?;
+        match cur.remaining() {
+            0 => Ok(value),
+            n => Err(DecodeError::Trailing(n)),
         }
     }
 }
 
-// ---- Request codec. ----
-
-const REQ_GEOGRAPHIC: u8 = 0x01;
-const REQ_SITE_SEARCH: u8 = 0x02;
-const REQ_SHORTLIST: u8 = 0x03;
-const REQ_NETWORK: u8 = 0x04;
-const REQ_ROUTE: u8 = 0x05;
-const REQ_APA: u8 = 0x06;
-const REQ_WEATHER: u8 = 0x07;
-const REQ_STATS: u8 = 0x08;
-const REQ_METRICS: u8 = 0x09;
-const REQ_SHUTDOWN: u8 = 0x0a;
-const REQ_RACE: u8 = 0x0b;
-const REQ_STRETCH_SWEEP: u8 = 0x0c;
-const REQ_TRACES: u8 = 0x0d;
-
 /// Append `req`'s binary body to `buf` (which is not cleared — pooled
 /// buffers arrive already reset).
 pub fn encode_request_into(req: &Request, buf: &mut Vec<u8>) {
-    buf.push(MAGIC);
-    buf.push(KIND_REQUEST);
-    match req {
-        Request::Geographic {
-            lat_deg,
-            lon_deg,
-            radius_km,
-        } => {
-            buf.push(REQ_GEOGRAPHIC);
-            put_f64(buf, *lat_deg);
-            put_f64(buf, *lon_deg);
-            put_f64(buf, *radius_km);
-        }
-        Request::SiteSearch { service, class } => {
-            buf.push(REQ_SITE_SEARCH);
-            put_str(buf, service);
-            put_str(buf, class);
-        }
-        Request::Shortlist {
-            lat_deg,
-            lon_deg,
-            radius_km,
-            min_filings,
-        } => {
-            buf.push(REQ_SHORTLIST);
-            put_f64(buf, *lat_deg);
-            put_f64(buf, *lon_deg);
-            put_f64(buf, *radius_km);
-            put_varint(buf, *min_filings as u64);
-        }
-        Request::Network { licensee, date } => {
-            buf.push(REQ_NETWORK);
-            put_str(buf, licensee);
-            put_date(buf, date);
-        }
-        Request::Route {
-            licensee,
-            date,
-            from,
-            to,
-        } => {
-            buf.push(REQ_ROUTE);
-            put_str(buf, licensee);
-            put_date(buf, date);
-            put_str(buf, from);
-            put_str(buf, to);
-        }
-        Request::Apa {
-            licensee,
-            date,
-            from,
-            to,
-        } => {
-            buf.push(REQ_APA);
-            put_str(buf, licensee);
-            put_date(buf, date);
-            put_str(buf, from);
-            put_str(buf, to);
-        }
-        Request::Weather {
-            licensee,
-            date,
-            from,
-            to,
-            samples,
-            seed,
-        } => {
-            buf.push(REQ_WEATHER);
-            put_str(buf, licensee);
-            put_date(buf, date);
-            put_str(buf, from);
-            put_str(buf, to);
-            put_varint(buf, *samples as u64);
-            put_varint(buf, *seed);
-        }
-        Request::Race {
-            licensee,
-            date,
-            from,
-            to,
-            constellation,
-            samples,
-            seed,
-        } => {
-            buf.push(REQ_RACE);
-            put_str(buf, licensee);
-            put_date(buf, date);
-            put_str(buf, from);
-            put_str(buf, to);
-            put_str(buf, constellation);
-            put_varint(buf, *samples as u64);
-            put_varint(buf, *seed);
-        }
-        Request::StretchSweep {
-            licensee,
-            date,
-            constellation,
-        } => {
-            buf.push(REQ_STRETCH_SWEEP);
-            put_str(buf, licensee);
-            put_date(buf, date);
-            put_str(buf, constellation);
-        }
-        Request::Stats => buf.push(REQ_STATS),
-        Request::Metrics => buf.push(REQ_METRICS),
-        Request::Traces { limit, trace_id } => {
-            buf.push(REQ_TRACES);
-            put_varint(buf, *limit as u64);
-            match trace_id {
-                None => buf.push(0),
-                Some(id) => {
-                    buf.push(1);
-                    buf.extend_from_slice(&id.to_le_bytes());
-                }
-            }
-        }
-        Request::Shutdown => buf.push(REQ_SHUTDOWN),
-    }
+    buf.extend_from_slice(&[MAGIC, KIND_REQUEST]);
+    req.put_body(buf);
 }
 
 /// Encode one request as a fresh binary body.
@@ -595,302 +298,14 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 
 /// Decode a binary request body.
 pub fn decode_request(body: &[u8]) -> Result<Request, DecodeError> {
-    let mut cur = Cur::new(body);
-    let magic = cur.u8()?;
-    if magic != MAGIC {
-        return Err(DecodeError::BadMagic(magic));
-    }
-    let kind = cur.u8()?;
-    if kind != KIND_REQUEST {
-        return Err(DecodeError::BadKind(kind));
-    }
-    let req = match cur.u8()? {
-        REQ_GEOGRAPHIC => Request::Geographic {
-            lat_deg: cur.f64()?,
-            lon_deg: cur.f64()?,
-            radius_km: cur.f64()?,
-        },
-        REQ_SITE_SEARCH => Request::SiteSearch {
-            service: cur.str()?,
-            class: cur.str()?,
-        },
-        REQ_SHORTLIST => Request::Shortlist {
-            lat_deg: cur.f64()?,
-            lon_deg: cur.f64()?,
-            radius_km: cur.f64()?,
-            min_filings: cur.varint()? as usize,
-        },
-        REQ_NETWORK => Request::Network {
-            licensee: cur.str()?,
-            date: cur.date()?,
-        },
-        REQ_ROUTE => Request::Route {
-            licensee: cur.str()?,
-            date: cur.date()?,
-            from: cur.str()?,
-            to: cur.str()?,
-        },
-        REQ_APA => Request::Apa {
-            licensee: cur.str()?,
-            date: cur.date()?,
-            from: cur.str()?,
-            to: cur.str()?,
-        },
-        REQ_WEATHER => Request::Weather {
-            licensee: cur.str()?,
-            date: cur.date()?,
-            from: cur.str()?,
-            to: cur.str()?,
-            samples: cur.varint()? as usize,
-            seed: cur.varint()?,
-        },
-        REQ_RACE => Request::Race {
-            licensee: cur.str()?,
-            date: cur.date()?,
-            from: cur.str()?,
-            to: cur.str()?,
-            constellation: cur.str()?,
-            samples: cur.varint()? as usize,
-            seed: cur.varint()?,
-        },
-        REQ_STRETCH_SWEEP => Request::StretchSweep {
-            licensee: cur.str()?,
-            date: cur.date()?,
-            constellation: cur.str()?,
-        },
-        REQ_STATS => Request::Stats,
-        REQ_METRICS => Request::Metrics,
-        REQ_TRACES => Request::Traces {
-            limit: cur.varint()? as usize,
-            trace_id: if cur.presence()? {
-                Some(u128::from_le_bytes(
-                    cur.take(16)?.try_into().expect("16 bytes"),
-                ))
-            } else {
-                None
-            },
-        },
-        REQ_SHUTDOWN => Request::Shutdown,
-        t => return Err(DecodeError::BadTag("request", t)),
-    };
-    cur.finish()?;
-    Ok(req)
+    Cur::frame(body, KIND_REQUEST, Request::get_body)
 }
-
-// ---- Response codec. ----
-
-const RESP_LICENSES: u8 = 0x01;
-const RESP_SHORTLIST: u8 = 0x02;
-const RESP_NETWORK: u8 = 0x03;
-const RESP_ROUTE: u8 = 0x04;
-const RESP_APA: u8 = 0x05;
-const RESP_WEATHER: u8 = 0x06;
-const RESP_STATS: u8 = 0x07;
-const RESP_METRICS: u8 = 0x08;
-const RESP_ERROR: u8 = 0x09;
-const RESP_OVERLOADED: u8 = 0x0a;
-const RESP_SHUTTING_DOWN: u8 = 0x0b;
-const RESP_RACE: u8 = 0x0c;
-const RESP_STRETCH_SWEEP: u8 = 0x0d;
-const RESP_TRACES: u8 = 0x0e;
-
-/// Trace flag bits (byte-packed on the wire).
-const TRACE_FLAG_SAMPLED: u8 = 0b01;
-const TRACE_FLAG_SLOW: u8 = 0b10;
 
 /// Append `resp`'s binary body to `buf` (not cleared — pooled buffers
 /// arrive already reset).
 pub fn encode_response_into(resp: &Response, buf: &mut Vec<u8>) {
-    buf.push(MAGIC);
-    buf.push(KIND_RESPONSE);
-    match resp {
-        Response::Licenses { ids } => {
-            buf.push(RESP_LICENSES);
-            put_varint(buf, ids.len() as u64);
-            for &id in ids {
-                put_varint(buf, id);
-            }
-        }
-        Response::Shortlist {
-            geographic_candidates,
-            service_filtered,
-            shortlisted,
-            names,
-        } => {
-            buf.push(RESP_SHORTLIST);
-            put_varint(buf, *geographic_candidates);
-            put_varint(buf, *service_filtered);
-            put_varint(buf, *shortlisted);
-            put_varint(buf, names.len() as u64);
-            for name in names {
-                put_str(buf, name);
-            }
-        }
-        Response::Network {
-            licensee,
-            as_of,
-            towers,
-            links,
-            active_licenses,
-        } => {
-            buf.push(RESP_NETWORK);
-            put_str(buf, licensee);
-            put_date(buf, as_of);
-            put_varint(buf, *towers);
-            put_varint(buf, *links);
-            put_varint(buf, *active_licenses);
-        }
-        Response::Route {
-            latency_ms,
-            towers,
-            length_m,
-        } => {
-            buf.push(RESP_ROUTE);
-            put_opt_f64(buf, *latency_ms);
-            put_opt_varint(buf, *towers);
-            put_opt_f64(buf, *length_m);
-        }
-        Response::Apa { apa } => {
-            buf.push(RESP_APA);
-            put_opt_f64(buf, *apa);
-        }
-        Response::Weather {
-            clear_ms,
-            p50_ms,
-            p95_ms,
-            p99_ms,
-            availability,
-            samples,
-        } => {
-            buf.push(RESP_WEATHER);
-            put_latency(buf, *clear_ms);
-            put_latency(buf, *p50_ms);
-            put_latency(buf, *p95_ms);
-            put_latency(buf, *p99_ms);
-            put_f64(buf, *availability);
-            put_varint(buf, *samples);
-        }
-        Response::Race {
-            from,
-            to,
-            constellation,
-            geodesic_km,
-            c_bound_ms,
-            microwave_ms,
-            fiber_ms,
-            leo_ms,
-            leo_isl_hops,
-            mw_stretch,
-            fiber_stretch,
-            leo_stretch,
-            winner,
-            wx_clear_ms,
-            wx_p50_ms,
-            wx_p95_ms,
-            wx_p99_ms,
-            wx_availability,
-            wx_samples,
-        } => {
-            buf.push(RESP_RACE);
-            put_str(buf, from);
-            put_str(buf, to);
-            put_str(buf, constellation);
-            put_f64(buf, *geodesic_km);
-            put_f64(buf, *c_bound_ms);
-            put_opt_f64(buf, *microwave_ms);
-            put_f64(buf, *fiber_ms);
-            put_opt_f64(buf, *leo_ms);
-            put_opt_varint(buf, *leo_isl_hops);
-            put_opt_f64(buf, *mw_stretch);
-            put_f64(buf, *fiber_stretch);
-            put_opt_f64(buf, *leo_stretch);
-            put_str(buf, winner);
-            put_latency(buf, *wx_clear_ms);
-            put_latency(buf, *wx_p50_ms);
-            put_latency(buf, *wx_p95_ms);
-            put_latency(buf, *wx_p99_ms);
-            put_f64(buf, *wx_availability);
-            put_varint(buf, *wx_samples);
-        }
-        Response::StretchSweep { entries } => {
-            buf.push(RESP_STRETCH_SWEEP);
-            put_varint(buf, entries.len() as u64);
-            for e in entries {
-                put_str(buf, &e.pair);
-                put_f64(buf, e.geodesic_km);
-                put_opt_f64(buf, e.mw_stretch);
-                put_f64(buf, e.fiber_stretch);
-                put_opt_f64(buf, e.leo_stretch);
-            }
-        }
-        Response::Stats { serve, session } => {
-            buf.push(RESP_STATS);
-            for v in [
-                serve.received,
-                serve.accepted,
-                serve.rejected_overloaded,
-                serve.completed,
-                serve.errors,
-                serve.flights_led,
-                serve.flights_coalesced,
-                serve.queue_wait_ns_total,
-                serve.queue_wait_ns_max,
-                serve.service_ns_total,
-                serve.service_ns_max,
-                serve.queue_high_water,
-                serve.generation_swaps,
-            ] {
-                put_varint(buf, v);
-            }
-            for v in [
-                session.network_hits,
-                session.reconstructions,
-                session.route_hits,
-                session.route_misses,
-                session.apa_hits,
-                session.apa_misses,
-                session.graph_hits,
-                session.graph_misses,
-            ] {
-                put_varint(buf, v);
-            }
-        }
-        Response::Metrics { registry } => {
-            buf.push(RESP_METRICS);
-            put_json(buf, registry);
-        }
-        Response::Traces { traces } => {
-            buf.push(RESP_TRACES);
-            put_varint(buf, traces.len() as u64);
-            for t in traces {
-                buf.extend_from_slice(&t.trace_id.to_le_bytes());
-                put_str(buf, &t.label);
-                let mut flags = 0u8;
-                if t.sampled {
-                    flags |= TRACE_FLAG_SAMPLED;
-                }
-                if t.slow {
-                    flags |= TRACE_FLAG_SLOW;
-                }
-                buf.push(flags);
-                put_varint(buf, t.total_ns);
-                put_varint(buf, t.spans.len() as u64);
-                for s in &t.spans {
-                    put_str(buf, &s.name);
-                    put_opt_varint(buf, s.parent.map(u64::from));
-                    put_varint(buf, s.start_ns);
-                    put_varint(buf, s.dur_ns);
-                    put_opt_varint(buf, s.shard.map(u64::from));
-                }
-            }
-        }
-        Response::Error { message } => {
-            buf.push(RESP_ERROR);
-            put_str(buf, message);
-        }
-        Response::Overloaded => buf.push(RESP_OVERLOADED),
-        Response::ShuttingDown => buf.push(RESP_SHUTTING_DOWN),
-    }
+    buf.extend_from_slice(&[MAGIC, KIND_RESPONSE]);
+    resp.put_body(buf);
 }
 
 /// Encode one response as a fresh binary body.
@@ -902,179 +317,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 
 /// Decode a binary response body.
 pub fn decode_response(body: &[u8]) -> Result<Response, DecodeError> {
-    let mut cur = Cur::new(body);
-    let magic = cur.u8()?;
-    if magic != MAGIC {
-        return Err(DecodeError::BadMagic(magic));
-    }
-    let kind = cur.u8()?;
-    if kind != KIND_RESPONSE {
-        return Err(DecodeError::BadKind(kind));
-    }
-    let resp = match cur.u8()? {
-        RESP_LICENSES => {
-            let n = cur.len_prefix()?;
-            let mut ids = Vec::with_capacity(n);
-            for _ in 0..n {
-                ids.push(cur.varint()?);
-            }
-            Response::Licenses { ids }
-        }
-        RESP_SHORTLIST => {
-            let geographic_candidates = cur.varint()?;
-            let service_filtered = cur.varint()?;
-            let shortlisted = cur.varint()?;
-            let n = cur.len_prefix()?;
-            let mut names = Vec::with_capacity(n);
-            for _ in 0..n {
-                names.push(cur.str()?);
-            }
-            Response::Shortlist {
-                geographic_candidates,
-                service_filtered,
-                shortlisted,
-                names,
-            }
-        }
-        RESP_NETWORK => Response::Network {
-            licensee: cur.str()?,
-            as_of: cur.date()?,
-            towers: cur.varint()?,
-            links: cur.varint()?,
-            active_licenses: cur.varint()?,
-        },
-        RESP_ROUTE => Response::Route {
-            latency_ms: cur.opt_f64()?,
-            towers: cur.opt_varint()?,
-            length_m: cur.opt_f64()?,
-        },
-        RESP_APA => Response::Apa {
-            apa: cur.opt_f64()?,
-        },
-        RESP_WEATHER => Response::Weather {
-            clear_ms: cur.latency()?,
-            p50_ms: cur.latency()?,
-            p95_ms: cur.latency()?,
-            p99_ms: cur.latency()?,
-            availability: cur.f64()?,
-            samples: cur.varint()?,
-        },
-        RESP_STATS => {
-            let mut v = [0u64; 21];
-            for slot in v.iter_mut() {
-                *slot = cur.varint()?;
-            }
-            Response::Stats {
-                serve: ServeSnapshot {
-                    received: v[0],
-                    accepted: v[1],
-                    rejected_overloaded: v[2],
-                    completed: v[3],
-                    errors: v[4],
-                    flights_led: v[5],
-                    flights_coalesced: v[6],
-                    queue_wait_ns_total: v[7],
-                    queue_wait_ns_max: v[8],
-                    service_ns_total: v[9],
-                    service_ns_max: v[10],
-                    queue_high_water: v[11],
-                    generation_swaps: v[12],
-                },
-                session: StatsSnapshot {
-                    network_hits: v[13],
-                    reconstructions: v[14],
-                    route_hits: v[15],
-                    route_misses: v[16],
-                    apa_hits: v[17],
-                    apa_misses: v[18],
-                    graph_hits: v[19],
-                    graph_misses: v[20],
-                },
-            }
-        }
-        RESP_RACE => Response::Race {
-            from: cur.str()?,
-            to: cur.str()?,
-            constellation: cur.str()?,
-            geodesic_km: cur.f64()?,
-            c_bound_ms: cur.f64()?,
-            microwave_ms: cur.opt_f64()?,
-            fiber_ms: cur.f64()?,
-            leo_ms: cur.opt_f64()?,
-            leo_isl_hops: cur.opt_varint()?,
-            mw_stretch: cur.opt_f64()?,
-            fiber_stretch: cur.f64()?,
-            leo_stretch: cur.opt_f64()?,
-            winner: cur.str()?,
-            wx_clear_ms: cur.latency()?,
-            wx_p50_ms: cur.latency()?,
-            wx_p95_ms: cur.latency()?,
-            wx_p99_ms: cur.latency()?,
-            wx_availability: cur.f64()?,
-            wx_samples: cur.varint()?,
-        },
-        RESP_STRETCH_SWEEP => {
-            let n = cur.len_prefix()?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                entries.push(SweepEntry {
-                    pair: cur.str()?,
-                    geodesic_km: cur.f64()?,
-                    mw_stretch: cur.opt_f64()?,
-                    fiber_stretch: cur.f64()?,
-                    leo_stretch: cur.opt_f64()?,
-                });
-            }
-            Response::StretchSweep { entries }
-        }
-        RESP_METRICS => Response::Metrics {
-            registry: cur.json(0)?,
-        },
-        RESP_TRACES => {
-            let n = cur.len_prefix()?;
-            let mut traces = Vec::with_capacity(n);
-            for _ in 0..n {
-                let trace_id = u128::from_le_bytes(cur.take(16)?.try_into().expect("16 bytes"));
-                let label = cur.str()?;
-                let flags = cur.u8()?;
-                let total_ns = cur.varint()?;
-                let m = cur.len_prefix()?;
-                let mut spans = Vec::with_capacity(m);
-                for _ in 0..m {
-                    spans.push(WireSpan {
-                        name: cur.str()?,
-                        parent: match cur.opt_varint()? {
-                            None => None,
-                            Some(p) => Some(u32::try_from(p).map_err(|_| DecodeError::BadVarint)?),
-                        },
-                        start_ns: cur.varint()?,
-                        dur_ns: cur.varint()?,
-                        shard: match cur.opt_varint()? {
-                            None => None,
-                            Some(k) => Some(u32::try_from(k).map_err(|_| DecodeError::BadVarint)?),
-                        },
-                    });
-                }
-                traces.push(WireTrace {
-                    trace_id,
-                    label,
-                    sampled: flags & TRACE_FLAG_SAMPLED != 0,
-                    slow: flags & TRACE_FLAG_SLOW != 0,
-                    total_ns,
-                    spans,
-                });
-            }
-            Response::Traces { traces }
-        }
-        RESP_ERROR => Response::Error {
-            message: cur.str()?,
-        },
-        RESP_OVERLOADED => Response::Overloaded,
-        RESP_SHUTTING_DOWN => Response::ShuttingDown,
-        t => return Err(DecodeError::BadTag("response", t)),
-    };
-    cur.finish()?;
-    Ok(resp)
+    Cur::frame(body, KIND_RESPONSE, Response::get_body)
 }
 
 // ---- Proto-dispatching conveniences. ----
@@ -1152,7 +395,7 @@ mod tests {
     #[test]
     fn hostile_lengths_never_allocate() {
         // Declares a 2^41-byte string in a 16-byte frame.
-        let mut frame = vec![MAGIC, KIND_REQUEST, REQ_SITE_SEARCH];
+        let mut frame = vec![MAGIC, KIND_REQUEST, 0x02]; // site_search
         frame.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x40]);
         frame.extend_from_slice(b"xxxxxxx");
         match decode_request(&frame).unwrap_err() {
@@ -1163,7 +406,7 @@ mod tests {
 
     #[test]
     fn deep_json_nesting_is_rejected() {
-        let mut frame = vec![MAGIC, KIND_RESPONSE, RESP_METRICS];
+        let mut frame = vec![MAGIC, KIND_RESPONSE, 0x08]; // metrics
         for _ in 0..200 {
             frame.push(5); // array…
             frame.push(1); // …of one element
@@ -1175,7 +418,7 @@ mod tests {
     #[test]
     fn varint_overflow_is_rejected() {
         // 11 continuation bytes.
-        let mut frame = vec![MAGIC, KIND_RESPONSE, RESP_LICENSES, 1];
+        let mut frame = vec![MAGIC, KIND_RESPONSE, 0x01, 1]; // licenses
         frame.extend_from_slice(&[0xff; 10]);
         frame.push(0x7f);
         assert!(matches!(

@@ -4,7 +4,8 @@
 //! The crate is layered, transport-last:
 //!
 //! 1. [`api`] — the typed [`Request`](api::Request)/[`Response`](api::Response)
-//!    enums with a deterministic JSON codec.
+//!    enums, declared once as a table from which `codec` generates both
+//!    the deterministic JSON codec and the [`binwire`] binary codec.
 //! 2. [`service`] — the in-process query engine; TCP is a wrapper around
 //!    [`Service::handle`](service::Service::handle).
 //! 3. [`singleflight`] — concurrent identical cold requests coalesce
@@ -31,6 +32,7 @@
 
 pub mod api;
 pub mod binwire;
+mod codec;
 pub mod evloop;
 pub mod json;
 pub mod live;

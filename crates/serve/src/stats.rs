@@ -233,50 +233,7 @@ impl ServeSnapshot {
     /// The JSON object form used by the `stats` response and the
     /// shutdown dump. Key order is fixed.
     pub fn to_json(&self) -> Json {
-        let u = |v: u64| Json::Num(v as f64);
-        Json::Obj(vec![
-            ("received".into(), u(self.received)),
-            ("accepted".into(), u(self.accepted)),
-            ("rejected_overloaded".into(), u(self.rejected_overloaded)),
-            ("completed".into(), u(self.completed)),
-            ("errors".into(), u(self.errors)),
-            ("flights_led".into(), u(self.flights_led)),
-            ("flights_coalesced".into(), u(self.flights_coalesced)),
-            ("queue_wait_ns_total".into(), u(self.queue_wait_ns_total)),
-            ("queue_wait_ns_max".into(), u(self.queue_wait_ns_max)),
-            ("service_ns_total".into(), u(self.service_ns_total)),
-            ("service_ns_max".into(), u(self.service_ns_max)),
-            ("queue_high_water".into(), u(self.queue_high_water)),
-            ("generation_swaps".into(), u(self.generation_swaps)),
-        ])
-    }
-
-    /// Inverse of [`ServeSnapshot::to_json`].
-    pub fn from_json(v: &Json) -> Result<ServeSnapshot, String> {
-        let g = |key: &str| {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("serve stats: missing field {key:?}"))
-        };
-        Ok(ServeSnapshot {
-            received: g("received")?,
-            accepted: g("accepted")?,
-            rejected_overloaded: g("rejected_overloaded")?,
-            completed: g("completed")?,
-            errors: g("errors")?,
-            flights_led: g("flights_led")?,
-            flights_coalesced: g("flights_coalesced")?,
-            queue_wait_ns_total: g("queue_wait_ns_total")?,
-            queue_wait_ns_max: g("queue_wait_ns_max")?,
-            service_ns_total: g("service_ns_total")?,
-            service_ns_max: g("service_ns_max")?,
-            queue_high_water: g("queue_high_water")?,
-            // Absent in frames from pre-live servers: default to 0.
-            generation_swaps: v
-                .get("generation_swaps")
-                .and_then(Json::as_u64)
-                .unwrap_or(0),
-        })
+        crate::codec::Field::to_json(self)
     }
 }
 
@@ -308,7 +265,8 @@ mod tests {
         assert_eq!(snap.queue_wait_ns_max, 5_000);
         assert_eq!(snap.mean_queue_wait_us(), 3.0);
         assert_eq!(snap.mean_service_us(), 10.0);
-        let back = ServeSnapshot::from_json(&snap.to_json()).unwrap();
+        let back: ServeSnapshot =
+            crate::codec::Field::from_json(Some(&snap.to_json()), "serve").unwrap();
         assert_eq!(back, snap);
     }
 
