@@ -44,7 +44,7 @@ use hft_uls::scrape::{run_pipeline, FunnelReport, ScrapeConfig};
 use hft_uls::{License, UlsDatabase, UlsPortal};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Licenses grouped by licensee, with each licensee's sorted lifecycle
 /// event dates — the epoch table.
@@ -390,7 +390,10 @@ pub struct AnalysisSession<'a> {
     index: LicenseIndex,
     corpus: Corpus<'a>,
     options: ReconstructOptions,
-    networks: Mutex<HashMap<NetKey, Arc<Network>>>,
+    /// One cell per snapshot: the first miss reconstructs into it while
+    /// concurrent misses on the same key wait, so each snapshot is
+    /// reconstructed once.
+    networks: Mutex<HashMap<NetKey, Arc<OnceLock<Arc<Network>>>>>,
     graphs: Mutex<HashMap<PairKey, Arc<RoutingGraph>>>,
     routes: Mutex<HashMap<PairKey, Option<Arc<Route>>>>,
     apas: Mutex<HashMap<PairKey, Option<f64>>>,
@@ -511,29 +514,30 @@ impl<'a> AnalysisSession<'a> {
     pub fn network(&self, licensee: &str, date: Date) -> Arc<Network> {
         let epoch = self.epoch(licensee, date);
         let key = self.net_key(licensee, epoch);
-        if let Some(hit) = self.networks.lock().expect("network cache").get(&key) {
+        let cell = Arc::clone(
+            self.networks
+                .lock()
+                .expect("network cache")
+                .entry(key)
+                .or_default(),
+        );
+        // Reconstruct outside the map lock, so misses on other snapshots
+        // proceed; a concurrent miss on this one waits on the cell.
+        let mut built = false;
+        let net = cell.get_or_init(|| {
+            built = true;
+            let _span = hft_obs::span("session.network");
+            let started = std::time::Instant::now();
+            let as_of = self.index.epoch_start(licensee, epoch);
+            let net = reconstruct(&self.licenses_of(licensee), licensee, as_of, &self.options);
+            self.stats
+                .reconstruction(started.elapsed().as_nanos() as u64);
+            Arc::new(net)
+        });
+        if !built {
             self.stats.network_hit();
-            return Arc::clone(hit);
         }
-        // Reconstruct outside the lock: epochs are deterministic, so a
-        // racing duplicate insert is identical and harmless.
-        let _span = hft_obs::span("session.network");
-        let started = std::time::Instant::now();
-        let as_of = self.index.epoch_start(licensee, epoch);
-        let net = Arc::new(reconstruct(
-            &self.licenses_of(licensee),
-            licensee,
-            as_of,
-            &self.options,
-        ));
-        self.stats
-            .reconstruction(started.elapsed().as_nanos() as u64);
-        self.networks
-            .lock()
-            .expect("network cache")
-            .entry(key)
-            .or_insert(net.clone());
-        net
+        Arc::clone(net)
     }
 
     /// The network of `licensee` restamped with the exact `date` — for

@@ -262,6 +262,8 @@ impl<'a> Service<'a> {
                 seed,
             } => match pair(from, to) {
                 Err(e) => err(e),
+                // Zero geodesic: every stretch factor would be 0/0.
+                Ok(_) if from == to => err(format!("cannot race {from} against itself")),
                 Ok((a, b)) => {
                     if *samples == 0 || *samples > 1_000_000 {
                         return err(format!("samples must be in 1..=1000000, got {samples}"));

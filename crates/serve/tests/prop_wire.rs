@@ -71,6 +71,17 @@ fn malformed_frames_are_rejected_with_errors() {
         Request::decode(b"{\"type\":\"network\",\"licensee\":\"X\",\"date\":\"2020-13-01\"}")
             .is_err()
     );
+    // A span index past u32::MAX is rejected, not truncated onto span 0
+    // (the binary codec rejects the same value).
+    let span = |parent: &str| {
+        format!(
+            "{{\"type\":\"traces\",\"traces\":[{{\"trace_id\":\"1\",\"label\":\"route\",\
+             \"sampled\":true,\"slow\":false,\"total_ns\":9,\"spans\":[{{\"name\":\"serve.request\",\
+             \"parent\":{parent},\"start_ns\":0,\"dur_ns\":9,\"shard\":null}}]}}]}}"
+        )
+    };
+    assert!(Response::decode(span("4294967295").as_bytes()).is_ok());
+    assert!(Response::decode(span("4294967296").as_bytes()).is_err());
 }
 
 #[test]

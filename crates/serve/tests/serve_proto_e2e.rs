@@ -57,6 +57,18 @@ fn mix() -> Vec<Request> {
             licensee: "No Such Networks LLC".into(),
             date,
         },
+        // A race from a data center to itself has a zero geodesic, so
+        // every stretch factor would be 0/0: a structured error on both
+        // wires, never a NaN that only the binary decoder accepts.
+        Request::Race {
+            licensee: licensee.clone(),
+            date,
+            from: "CME".into(),
+            to: "CME".into(),
+            constellation: "starlink".into(),
+            samples: 100,
+            seed: 7,
+        },
     ]
 }
 
@@ -88,6 +100,13 @@ fn binary_round_trips() {
     let mix = mix();
     let reference = Service::new(&eco.db);
     let expected: Vec<Vec<u8>> = mix.iter().map(|r| reference.handle(r).encode()).collect();
+    // Every answer must decode from its own JSON, or a JSON client
+    // could not read it back.
+    for (request, want) in mix.iter().zip(&expected) {
+        if let Err(e) = Response::decode(want) {
+            panic!("answer to {request:?} does not decode: {e}");
+        }
+    }
 
     let server = bind();
     let addr = server.local_addr().unwrap();
