@@ -10,7 +10,7 @@
 //!
 //! The two enums below are the codec's one table: each variant names
 //! its binary tag and JSON `type`, then its fields in wire order, and
-//! [`wire_enum!`](crate::codec) generates the JSON codec
+//! the `wire_enum!` macro (in `codec.rs`) generates the JSON codec
 //! ([`Request::to_json`], [`Request::decode`], ...) and the binary one
 //! ([`crate::binwire`]) from it. Adding a request is one entry here plus
 //! a handler arm. Encoding is deterministic: one canonical key order per
