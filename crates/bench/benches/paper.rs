@@ -105,18 +105,6 @@ fn bench_weather(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_generation(c: &mut Criterion) {
-    // Not a paper artifact per se, but the cost of standing up the whole
-    // calibrated ecosystem is worth tracking.
-    let spec = chicago_nj();
-    let mut g = c.benchmark_group("generate");
-    g.sample_size(10);
-    g.bench_function("generate_full_ecosystem", |b| {
-        b.iter(|| black_box(generate(black_box(&spec), REPRO_SEED)))
-    });
-    g.finish();
-}
-
 fn bench_entity_scan(c: &mut Criterion) {
     let eco = eco();
     let mut g = c.benchmark_group("entity");
@@ -180,7 +168,6 @@ criterion_group!(
     bench_fig5,
     bench_funnel,
     bench_weather,
-    bench_generation,
     bench_entity_scan,
     bench_overhead,
     bench_annual_availability,

@@ -1,9 +1,10 @@
 //! Cold-vs-warm benchmark for the [`AnalysisSession`] engine: the same
 //! Table-1 + evolution sweep, once against a fresh session per iteration
 //! (every network reconstructed from scratch) and once against a shared
-//! warmed session (everything answered from the epoch cache). Results
-//! are printed and written to `BENCH_session.json` at the workspace root
-//! so the speedup is tracked alongside the code.
+//! warmed session (everything answered from the epoch cache). Alongside
+//! it, the cost of generating the calibrated corpus every session sits
+//! on. Results are printed and written to `BENCH_session.json` at the
+//! workspace root so the speedup is tracked alongside the code.
 
 use criterion::{black_box, Criterion};
 use hft_bench::REPRO_SEED;
@@ -32,6 +33,18 @@ fn sweep(analysis: &report::Analysis<'_>) -> usize {
     let rows = report::table1(analysis);
     let series = report::evolution(analysis);
     rows.len() + series.len()
+}
+
+fn bench_generate(c: &mut Criterion) {
+    // Every serving or analysis process pays this before its first query:
+    // the whole corpus, calibrated closed-loop against the router.
+    let spec = chicago_nj();
+    let mut g = c.benchmark_group("session");
+    g.sample_size(sample_size());
+    g.bench_function("generate_full_ecosystem", |b| {
+        b.iter(|| black_box(generate(black_box(&spec), REPRO_SEED)))
+    });
+    g.finish();
 }
 
 fn bench_cold(c: &mut Criterion) {
@@ -66,6 +79,7 @@ fn json_escape(s: &str) -> String {
 
 fn main() {
     let mut criterion = Criterion::default().configure_from_args();
+    bench_generate(&mut criterion);
     bench_cold(&mut criterion);
     bench_warm(&mut criterion);
 

@@ -16,7 +16,7 @@
 use crate::corridor::DataCenter;
 use crate::metrics;
 use crate::network::{MwLink, Network, Tower};
-use crate::route::{route, RoutingGraph};
+use crate::route::RoutingGraph;
 use hft_geodesy::{gc_destination, gc_initial_bearing_deg, gc_interpolate, LatLon, SnapGrid};
 use hft_netgraph::{disjoint_shortest_pair, Graph, NodeId};
 use hft_time::Date;
@@ -166,8 +166,8 @@ pub struct DesignReport {
 /// Measure a designed (or any) network between two data centers.
 pub fn evaluate(network: &Network, a: &DataCenter, b: &DataCenter) -> Option<DesignReport> {
     let rg = RoutingGraph::build(network, a, b);
-    let r = route(network, a, b)?;
-    let apa = metrics::apa(network, a, b)?;
+    let r = rg.route_filtered(network, |_| true)?;
+    let apa = metrics::apa_with(&rg, network)?;
     let disjoint = disjoint_shortest_pair(&rg.graph, rg.source, rg.target, |_, e| e.latency_s())
         .map(|pair| (pair.second_cost - pair.first_cost) * 1e3);
     Some(DesignReport {

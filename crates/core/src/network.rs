@@ -1,6 +1,6 @@
 //! The reconstructed-network model.
 
-use hft_geodesy::{LatLon, SnappedCoord};
+use hft_geodesy::{LatLon, RadiusClass, RadiusTest, SnappedCoord, UnitEcef};
 use hft_netgraph::{Graph, NodeId};
 use hft_time::Date;
 use hft_uls::LicenseId;
@@ -84,13 +84,27 @@ impl Network {
             .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(core::cmp::Ordering::Equal))
     }
 
-    /// All towers within `radius_km` of `point`.
+    /// All towers within `radius_km` of `point`, nearest first, with their
+    /// geodesic distances in meters.
+    ///
+    /// The chord kernel drops the towers it proves are beyond the radius
+    /// with one dot product each; only the rest pay a Vincenty solve, and
+    /// the exact `<=` filter on that distance decides membership, so the
+    /// answer equals a full Vincenty scan.
     pub fn towers_within(&self, point: &LatLon, radius_km: f64) -> Vec<(NodeId, f64)> {
+        let radius_m = radius_km * 1000.0;
+        let prefilter =
+            (radius_m.is_finite() && radius_m >= 0.0).then(|| RadiusTest::new(point, radius_m));
         let mut v: Vec<(NodeId, f64)> = self
             .graph
             .nodes()
+            .filter(|(_, t)| {
+                prefilter.as_ref().is_none_or(|test| {
+                    test.classify_vec(&UnitEcef::from_latlon(&t.position)) != RadiusClass::Outside
+                })
+            })
             .map(|(id, t)| (id, t.position.geodesic_distance_m(point)))
-            .filter(|(_, d)| *d <= radius_km * 1000.0)
+            .filter(|(_, d)| *d <= radius_m)
             .collect();
         v.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(core::cmp::Ordering::Equal));
         v

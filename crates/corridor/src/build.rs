@@ -23,19 +23,21 @@
 //!    cancellations across 2017–18.
 
 use crate::layout::{
-    make_chain_geometry, place_chain_with_offsets, polyline_length_m, sample_along, ChainGeometry,
+    make_chain_geometry, place_chain_with_offsets, polyline_length_m, sample_along, ChainFrame,
+    ChainGeometry,
 };
 use crate::noise::{self, IdAllocator};
 use crate::spec::{NetworkSpec, ScenarioSpec};
 use hft_core::corridor::{CME, EQUINIX_NY4, NASDAQ, NYSE};
-use hft_core::session::{fingerprint_words, AnalysisSession, RouteMemo};
+use hft_core::session::{fingerprint_words, par_map, AnalysisSession, RouteMemo};
 use hft_geodesy::{
     gc_destination, gc_distance_m, gc_initial_bearing_deg, gc_interpolate, LatLon, Medium,
 };
 use hft_radio::{Band, BandPlan};
 use hft_time::Date;
 use hft_uls::{
-    FrequencyAssignment, License, MicrowavePath, RadioService, StationClass, TowerSite, UlsDatabase,
+    CallSign, FrequencyAssignment, License, LicenseId, MicrowavePath, RadioService, StationClass,
+    TowerSite, UlsDatabase,
 };
 use rand::Rng;
 use rand::SeedableRng;
@@ -148,12 +150,7 @@ impl NetBuilder {
     }
 
     /// Emit licenses: one per (link, endpoint-stability epoch).
-    fn emit<R: Rng + ?Sized>(
-        &self,
-        licensee: &str,
-        ids: &mut IdAllocator,
-        rng: &mut R,
-    ) -> Vec<License> {
+    fn emit<R: Rng + ?Sized>(&self, licensee: &str, rng: &mut R) -> Vec<License> {
         let mut out = Vec::new();
         for link in &self.links {
             let mut boundaries = vec![link.online];
@@ -163,7 +160,7 @@ impl NetBuilder {
             boundaries.dedup();
             for (i, &start) in boundaries.iter().enumerate() {
                 let end = boundaries.get(i + 1).copied().or(link.offline);
-                let (id, call_sign) = ids.next_id();
+                let (id, call_sign) = unstamped();
                 let tx_pos = self.towers[link.a].position_at(start);
                 let rx_pos = self.towers[link.b].position_at(start);
                 out.push(License {
@@ -189,6 +186,13 @@ impl NetBuilder {
         }
         out
     }
+}
+
+/// The id and call sign of a license not yet filed: a modeled network is
+/// built without its place in the corpus, and `generate` stamps the real
+/// ones in filing order ([`IdAllocator::stamp`]).
+fn unstamped() -> (LicenseId, CallSign) {
+    (LicenseId(0), CallSign(String::new()))
 }
 
 fn tower_site<R: Rng + ?Sized>(rng: &mut R, p: LatLon) -> TowerSite {
@@ -217,8 +221,7 @@ fn materialize(unit: &[f64], current: &[f64], scale: f64, threshold: f64) -> Vec
 
 /// One movable chain (trunk or NY4 spur) during era processing.
 struct MovableChain {
-    start: LatLon,
-    end: LatLon,
+    frame: ChainFrame,
     geometry: ChainGeometry,
     /// Constant per-tower lateral bias in meters, added on top of the
     /// calibrated offsets (used to steer a spur's final approach).
@@ -231,8 +234,7 @@ impl MovableChain {
     fn new(start: LatLon, end: LatLon, geometry: ChainGeometry) -> MovableChain {
         let bias_m = vec![0.0; geometry.len()];
         MovableChain {
-            start,
-            end,
+            frame: ChainFrame::new(&start, &end, &geometry.ts),
             geometry,
             bias_m,
             history: Vec::new(),
@@ -273,12 +275,7 @@ impl MovableChain {
     }
 
     fn positions_with(&self, offsets: &[f64]) -> Vec<LatLon> {
-        place_chain_with_offsets(
-            &self.start,
-            &self.end,
-            &self.geometry.ts,
-            &self.biased(offsets),
-        )
+        self.frame.place(&self.biased(offsets))
     }
 }
 
@@ -307,6 +304,9 @@ fn calibrate_chain(
     );
     for _ in 0..70 {
         let mid = (lo + hi) / 2.0;
+        if mid == lo || mid == hi {
+            break; // fixed point: see `bisect_scale`
+        }
         if len_at(mid) < target_len_m {
             lo = mid;
         } else {
@@ -432,6 +432,13 @@ impl ProbeNet {
 /// Bisect `scale` until `measure(scale)` hits `target_ms` (monotone
 /// non-decreasing in scale). Panics when the target is below the
 /// scale-zero floor or above the ceiling's reach.
+///
+/// The loop stops early once `lo` and `hi` are adjacent floats. That
+/// exit is exact: `measure` is a pure function, `measure(hi)` is known to
+/// reach the target and `measure(lo)` to miss it (`lo` cannot still be
+/// its initial 0 there, since 60 halvings leave `hi` far above the
+/// smallest float), so a midpoint equal to either end would only
+/// reassign that end to itself on every remaining step.
 fn bisect_scale(what: &str, target_ms: f64, mut measure: impl FnMut(f64) -> f64) -> f64 {
     let floor = measure(0.0);
     assert!(
@@ -446,6 +453,9 @@ fn bisect_scale(what: &str, target_ms: f64, mut measure: impl FnMut(f64) -> f64)
     let mut lo = 0.0;
     for _ in 0..60 {
         let mid = (lo + hi) / 2.0;
+        if mid == lo || mid == hi {
+            break;
+        }
         if measure(mid) < target_ms {
             lo = mid;
         } else {
@@ -480,8 +490,9 @@ fn plan_rail(parent: &[LatLon], lo: usize, hi: usize, hop_km: f64) -> RailPlan {
     RailPlan { interior, lo, hi }
 }
 
-/// Build one modeled network's licenses.
-fn build_network(spec: &NetworkSpec, ids: &mut IdAllocator, seed: u64) -> Vec<License> {
+/// Build one modeled network's licenses, in filing order, with
+/// [`unstamped`] ids. Reads no id, so networks build independently.
+fn build_network(spec: &NetworkSpec, seed: u64) -> Vec<License> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let cme = CME.position();
     let ny4 = EQUINIX_NY4.position();
@@ -549,7 +560,7 @@ fn build_network(spec: &NetworkSpec, ids: &mut IdAllocator, seed: u64) -> Vec<Li
     // rail coverage arithmetic can run before calibration).
     struct SpurPlan {
         dc: &'static hft_core::DataCenter,
-        east: LatLon,
+        frame: ChainFrame,
         geom: ChainGeometry,
         n_links: usize,
         target_ms: f64,
@@ -573,7 +584,7 @@ fn build_network(spec: &NetworkSpec, ids: &mut IdAllocator, seed: u64) -> Vec<Li
         let geom = make_chain_geometry(n_links - 1, &mut rng);
         spurs.push(SpurPlan {
             dc,
-            east,
+            frame: ChainFrame::new(&branch, &east, &geom.ts),
             geom,
             n_links,
             target_ms,
@@ -634,7 +645,7 @@ fn build_network(spec: &NetworkSpec, ids: &mut IdAllocator, seed: u64) -> Vec<Li
         let mut memo = RouteMemo::new();
         let measure = |scale: f64| -> f64 {
             let offsets: Vec<f64> = s.geom.unit_offsets.iter().map(|u| u * scale).collect();
-            let pts = place_chain_with_offsets(&branch, &s.east, &s.geom.ts, &offsets);
+            let pts = s.frame.place(&offsets);
             let mut pn = ProbeNet::new();
             let trunk_ids = probe_base(&mut pn);
             // Spur chain: anchored at the branch (last trunk tower), new
@@ -659,7 +670,7 @@ fn build_network(spec: &NetworkSpec, ids: &mut IdAllocator, seed: u64) -> Vec<Li
             measure,
         );
         let offsets: Vec<f64> = s.geom.unit_offsets.iter().map(|u| u * scale).collect();
-        s.positions = place_chain_with_offsets(&branch, &s.east, &s.geom.ts, &offsets);
+        s.positions = s.frame.place(&offsets);
         s.rail = (s.covered > 0).then(|| plan_rail(&s.positions, 0, s.covered, spec.rail_hop_km));
     }
 
@@ -709,33 +720,32 @@ fn build_network(spec: &NetworkSpec, ids: &mut IdAllocator, seed: u64) -> Vec<Li
         let offsets = materialize(&spur4.geometry.unit_offsets, &cur, scale, 0.0);
         spur4.history.push((spec.eras[last_era].date, offsets));
     }
-    let spur4_final_positions = spur4.positions_with(&spur4.history[last_era].1);
+    // Each era's spur placed once; tower `j` of era `w` is `placed[w][j + 1]`.
+    let placed: Vec<Vec<LatLon>> = spur4
+        .history
+        .iter()
+        .map(|(_, offsets)| spur4.positions_with(offsets))
+        .collect();
     let rail4: Option<RailPlan> = match rail4_static {
         Some(r) => Some(r),
-        None if c_spur4 > 0 => Some(plan_rail(
-            &spur4_final_positions,
-            0,
-            c_spur4,
-            spec.rail_hop_km,
-        )),
+        None if c_spur4 > 0 => Some(plan_rail(&placed[last_era], 0, c_spur4, spec.rail_hop_km)),
         None => None,
     };
 
     // ---- Registry: trunk (fixed) + spur4 towers with move timelines. ----
     let era0 = spec.eras[0].date;
     let mut nb = NetBuilder::new();
-    let jittered_timeline = |chain: &MovableChain, j: usize, rng: &mut ChaCha8Rng| -> TowerRec {
-        let mut timeline = vec![(Date::MIN, chain.positions_with(&chain.history[0].1)[j + 1])];
-        for w in 0..chain.history.len() - 1 {
-            let (prev_date, _) = chain.history[w];
-            let (next_date, ref next_off) = chain.history[w + 1];
-            let (_, ref prev_off) = chain.history[w];
+    let jittered_timeline = |j: usize, rng: &mut ChaCha8Rng| -> TowerRec {
+        let mut timeline = vec![(Date::MIN, placed[0][j + 1])];
+        for (w, pair) in spur4.history.windows(2).enumerate() {
+            let (prev_date, ref prev_off) = pair[0];
+            let (next_date, ref next_off) = pair[1];
             if (next_off[j] - prev_off[j]).abs() > 1e-9 {
                 // Move materialized in era w+1: pick a date inside the window.
                 let window = (next_date - prev_date - 1).max(1);
                 let move_date =
                     prev_date.add_days(1 + (rng.gen::<f64>() * (window - 1).max(1) as f64) as i64);
-                timeline.push((move_date, chain.positions_with(next_off)[j + 1]));
+                timeline.push((move_date, placed[w + 1][j + 1]));
             }
         }
         TowerRec { timeline }
@@ -750,7 +760,7 @@ fn build_network(spec: &NetworkSpec, ids: &mut IdAllocator, seed: u64) -> Vec<Li
 
     let mut spur4_ids = vec![branch_id];
     for j in 0..spur4.geometry.len() {
-        let rec = jittered_timeline(&spur4, j, &mut rng);
+        let rec = jittered_timeline(j, &mut rng);
         spur4_ids.push(nb.add_tower(rec));
     }
     spur4_ids.push(nb.add_tower(TowerRec::fixed(east4)));
@@ -857,7 +867,7 @@ fn build_network(spec: &NetworkSpec, ids: &mut IdAllocator, seed: u64) -> Vec<Li
     }
 
     // ---- Emit core licenses. ----
-    let mut licenses = nb.emit(&spec.name, ids, &mut rng);
+    let mut licenses = nb.emit(&spec.name, &mut rng);
 
     // ---- Spares to satisfy the Fig.-2 anchors. ----
     // `licenses` accumulates spares as we go, so counting active licenses
@@ -886,7 +896,7 @@ fn build_network(spec: &NetworkSpec, ids: &mut IdAllocator, seed: u64) -> Vec<Li
                     bearing + side * 0.2,
                     6_000.0 + rng.gen::<f64>() * 9_000.0,
                 );
-                let (id, call_sign) = ids.next_id();
+                let (id, call_sign) = unstamped();
                 licenses.push(License {
                     id,
                     call_sign,
@@ -1038,9 +1048,16 @@ pub fn generate(spec: &ScenarioSpec, seed: u64) -> GeneratedEcosystem {
     let mut modeled = Vec::new();
     let mut connected = Vec::new();
 
-    for (i, net) in spec.networks.iter().enumerate() {
+    // Each modeled network calibrates on its own, so they build in
+    // parallel; ids and call signs are stamped afterwards in spec order
+    // and filing order, exactly as a serial build would assign them.
+    let built = par_map(spec.networks.iter().enumerate().collect(), |(i, net)| {
         let child_seed = seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1));
-        db.extend(build_network(net, &mut ids, child_seed));
+        build_network(net, child_seed)
+    });
+    for (net, mut licenses) in spec.networks.iter().zip(built) {
+        ids.stamp(&mut licenses);
+        db.extend(licenses);
         modeled.push(net.name.clone());
         if net.final_latency.is_some() {
             connected.push(net.name.clone());
@@ -1104,8 +1121,8 @@ mod tests {
             .iter()
             .find(|n| n.name == "New Line Networks")
             .unwrap();
-        let mut ids = IdAllocator::new(1);
-        let lics = build_network(nln_spec, &mut ids, 42);
+        let mut lics = build_network(nln_spec, 42);
+        IdAllocator::new(1).stamp(&mut lics);
         let refs: Vec<&License> = lics.iter().collect();
         let asof = Date::new(2020, 4, 1).unwrap();
         let net = reconstruct(
@@ -1131,8 +1148,8 @@ mod tests {
             .iter()
             .find(|n| n.name == "Webline Holdings")
             .unwrap();
-        let mut ids = IdAllocator::new(1);
-        let lics = build_network(wh_spec, &mut ids, 42);
+        let mut lics = build_network(wh_spec, 42);
+        IdAllocator::new(1).stamp(&mut lics);
         let refs: Vec<&License> = lics.iter().collect();
         for era in &wh_spec.eras {
             let net = reconstruct(

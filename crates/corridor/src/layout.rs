@@ -70,6 +70,59 @@ pub fn make_chain_geometry<R: Rng + ?Sized>(n_interior: usize, rng: &mut R) -> C
     ChainGeometry { ts, unit_offsets }
 }
 
+/// The offset-independent geometry of a placed chain: its anchors, and
+/// for each interior tower the on-line point at its along-fraction and
+/// the bearing perpendicular to the local great circle there.
+///
+/// Calibration places one chain at many offsets; building the frame once
+/// leaves each placement one `gc_destination` per interior tower.
+#[derive(Debug, Clone)]
+pub struct ChainFrame {
+    start: LatLon,
+    end: LatLon,
+    /// `(on_line_point, perpendicular_bearing_deg)` per interior tower.
+    feet: Vec<(LatLon, f64)>,
+}
+
+impl ChainFrame {
+    /// The frame of a chain from `start` to `end` with interior towers at
+    /// along-fractions `ts`.
+    pub fn new(start: &LatLon, end: &LatLon, ts: &[f64]) -> ChainFrame {
+        let feet = ts
+            .iter()
+            .map(|&t| {
+                let on_line = gc_interpolate(start, end, t);
+                (on_line, gc_initial_bearing_deg(&on_line, end) + 90.0)
+            })
+            .collect();
+        ChainFrame {
+            start: *start,
+            end: *end,
+            feet,
+        }
+    }
+
+    /// All towers in order, anchors included, with interior tower `i`
+    /// displaced `offsets_m[i]` meters perpendicular to the chain.
+    pub fn place(&self, offsets_m: &[f64]) -> Vec<LatLon> {
+        assert_eq!(
+            self.feet.len(),
+            offsets_m.len(),
+            "one offset per interior tower"
+        );
+        let mut out = Vec::with_capacity(self.feet.len() + 2);
+        out.push(self.start);
+        out.extend(
+            self.feet
+                .iter()
+                .zip(offsets_m)
+                .map(|((on_line, bearing), &off)| gc_destination(on_line, *bearing, off)),
+        );
+        out.push(self.end);
+        out
+    }
+}
+
 /// Place a chain: anchors at `start` and `end`, interior towers at their
 /// along-fractions, displaced `unit_offset · scale_m` meters perpendicular
 /// to the local great-circle bearing. Returns all towers in order,
@@ -80,15 +133,8 @@ pub fn place_chain(
     geometry: &ChainGeometry,
     scale_m: f64,
 ) -> Vec<LatLon> {
-    let mut out = Vec::with_capacity(geometry.len() + 2);
-    out.push(*start);
-    for (&t, &u) in geometry.ts.iter().zip(&geometry.unit_offsets) {
-        let on_line = gc_interpolate(start, end, t);
-        let bearing = gc_initial_bearing_deg(&on_line, end);
-        out.push(gc_destination(&on_line, bearing + 90.0, u * scale_m));
-    }
-    out.push(*end);
-    out
+    let offsets: Vec<f64> = geometry.unit_offsets.iter().map(|u| u * scale_m).collect();
+    place_chain_with_offsets(start, end, &geometry.ts, &offsets)
 }
 
 /// Place a chain with explicit per-tower lateral offsets (meters) instead
@@ -100,16 +146,7 @@ pub fn place_chain_with_offsets(
     ts: &[f64],
     offsets_m: &[f64],
 ) -> Vec<LatLon> {
-    assert_eq!(ts.len(), offsets_m.len(), "one offset per interior tower");
-    let mut out = Vec::with_capacity(ts.len() + 2);
-    out.push(*start);
-    for (&t, &off) in ts.iter().zip(offsets_m) {
-        let on_line = gc_interpolate(start, end, t);
-        let bearing = gc_initial_bearing_deg(&on_line, end);
-        out.push(gc_destination(&on_line, bearing + 90.0, off));
-    }
-    out.push(*end);
-    out
+    ChainFrame::new(start, end, ts).place(offsets_m)
 }
 
 /// Total geodesic length of a polyline, meters.
@@ -124,46 +161,6 @@ pub fn polyline_length_m(points: &[LatLon]) -> f64 {
         .windows(2)
         .map(|w| w[0].geodesic_distance_m(&w[1]))
         .sum()
-}
-
-/// Solve for the offset scale that makes the placed chain's length equal
-/// `target_len_m`, by bisection over `[0, max]` (length is monotone in the
-/// scale). Returns `None` when the target is below the scale-0 length
-/// (physically unreachable: the chain cannot be shorter than its
-/// zero-offset layout) or above the maximum-scale length.
-pub fn solve_scale(
-    start: &LatLon,
-    end: &LatLon,
-    geometry: &ChainGeometry,
-    target_len_m: f64,
-) -> Option<f64> {
-    let len_at = |s: f64| polyline_length_m(&place_chain(start, end, geometry, s));
-    let min_len = len_at(0.0);
-    if target_len_m < min_len - 1e-6 {
-        return None;
-    }
-    if geometry.is_empty() {
-        // No knob to turn; only an (approximately) exact match works.
-        let tolerance = 1.0f64.max(min_len * 1e-6);
-        return ((target_len_m - min_len).abs() <= tolerance).then_some(0.0);
-    }
-    let mut hi = 1_000.0;
-    while len_at(hi) < target_len_m {
-        hi *= 2.0;
-        if hi > 5.0e7 {
-            return None; // target absurdly long
-        }
-    }
-    let mut lo = 0.0;
-    for _ in 0..80 {
-        let mid = (lo + hi) / 2.0;
-        if len_at(mid) < target_len_m {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    Some((lo + hi) / 2.0)
 }
 
 /// Sample points along a polyline at (approximately) `spacing_m`
@@ -276,29 +273,25 @@ mod tests {
     }
 
     #[test]
-    fn solve_scale_hits_target() {
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let g = make_chain_geometry(23, &mut rng);
+    fn one_frame_places_every_offset_like_a_fresh_placement() {
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let g = make_chain_geometry(15, &mut rng);
         let (a, b) = endpoints();
-        let geo = a.geodesic_distance_m(&b);
-        for extra_m in [300.0, 1_000.0, 10_000.0, 100_000.0] {
-            let target = geo + extra_m;
-            let s = solve_scale(&a, &b, &g, target).expect("solvable");
-            let got = polyline_length_m(&place_chain(&a, &b, &g, s));
-            assert!(
-                (got - target).abs() < 0.5,
-                "extra {extra_m}: got {got} want {target}"
-            );
+        let frame = ChainFrame::new(&a, &b, &g.ts);
+        for scale in [0.0, 750.0, 12_345.678] {
+            let offsets: Vec<f64> = g.unit_offsets.iter().map(|u| u * scale).collect();
+            let direct: Vec<LatLon> =
+                g.ts.iter()
+                    .zip(&offsets)
+                    .map(|(&t, &off)| {
+                        let on_line = gc_interpolate(&a, &b, t);
+                        gc_destination(&on_line, gc_initial_bearing_deg(&on_line, &b) + 90.0, off)
+                    })
+                    .collect();
+            let placed = frame.place(&offsets);
+            assert_eq!(placed[1..=g.len()], direct[..], "scale {scale}");
+            assert_eq!((placed[0], placed[g.len() + 1]), (a, b));
         }
-    }
-
-    #[test]
-    fn solve_scale_rejects_shorter_than_geodesic() {
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let g = make_chain_geometry(23, &mut rng);
-        let (a, b) = endpoints();
-        let geo = a.geodesic_distance_m(&b);
-        assert!(solve_scale(&a, &b, &g, geo - 10_000.0).is_none());
     }
 
     #[test]

@@ -63,6 +63,14 @@ impl IdAllocator {
         self.next += 1;
         (LicenseId(id), CallSign(format!("WQ{id:06}")))
     }
+
+    /// Give `licenses`, in order, the next ids and call signs — what
+    /// calling [`IdAllocator::next_id`] as each was built would have given.
+    pub fn stamp(&mut self, licenses: &mut [License]) {
+        for l in licenses {
+            (l.id, l.call_sign) = self.next_id();
+        }
+    }
 }
 
 /// Generate the partially built corridor licensees: chains that start
