@@ -10,7 +10,8 @@
 //! sample count (CI smoke runs use 1).
 
 use criterion::{black_box, Criterion};
-use hft_bench::REPRO_SEED;
+use hft_bench::load;
+use hft_bench::{obj, REPRO_SEED};
 use hft_core::corridor::{CME, EQUINIX_NY4};
 use hft_corridor::{chicago_nj, generate, GeneratedEcosystem};
 use hft_geodesy::{gc_interpolate, LatLon};
@@ -20,16 +21,6 @@ use std::sync::OnceLock;
 fn eco() -> &'static GeneratedEcosystem {
     static ECO: OnceLock<GeneratedEcosystem> = OnceLock::new();
     ECO.get_or_init(|| generate(&chicago_nj(), REPRO_SEED))
-}
-
-/// Timed calls per bench: `HFT_BENCH_SAMPLES` when set (CI smoke passes
-/// 1), otherwise 30 — the queries are cheap enough to afford it.
-fn sample_size() -> usize {
-    std::env::var("HFT_BENCH_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(30)
 }
 
 /// Nine probe centers along the CME→NY4 great circle — the shape of the
@@ -46,7 +37,7 @@ fn bench_geographic(c: &mut Criterion) {
     let db = &eco().db;
     let cme = CME.position();
     let mut g = c.benchmark_group("geo");
-    g.sample_size(sample_size());
+    g.sample_size(load::sample_size(30));
     g.bench_function("geographic_search_linear", |b| {
         b.iter(|| black_box(db.geographic_search_linear(black_box(&cme), 10.0).len()))
     });
@@ -59,7 +50,7 @@ fn bench_geographic(c: &mut Criterion) {
 fn bench_site_search(c: &mut Criterion) {
     let db = &eco().db;
     let mut g = c.benchmark_group("geo");
-    g.sample_size(sample_size());
+    g.sample_size(load::sample_size(30));
     g.bench_function("site_search_linear", |b| {
         b.iter(|| {
             black_box(
@@ -79,7 +70,7 @@ fn bench_par_fanout(c: &mut Criterion) {
     let session = eco.session();
     let probes = probes();
     let mut g = c.benchmark_group("geo");
-    g.sample_size(sample_size());
+    g.sample_size(load::sample_size(30));
     g.bench_function("par_geographic_search_9probes", |b| {
         b.iter(|| {
             let hits = session
@@ -89,10 +80,6 @@ fn bench_par_fanout(c: &mut Criterion) {
         })
     });
     g.finish();
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn main() {
@@ -110,39 +97,23 @@ fn main() {
     bench_par_fanout(&mut criterion);
 
     let results = criterion.results();
-    let mut entries: Vec<String> = results
+    let mut entries: Vec<_> = results
         .iter()
-        .map(|r| {
-            format!(
-                "  {{\"id\": \"{}\", \"mean_s\": {:.9}, \"samples\": {}}}",
-                json_escape(&r.id),
-                r.mean_s(),
-                r.samples.len()
-            )
-        })
+        .map(|r| load::bench_entry(&r.id, r.mean_s(), r.samples.len()))
         .collect();
-    let linear = results
-        .iter()
-        .find(|r| r.id == "geo/geographic_search_linear")
-        .map(|r| r.mean_s());
-    let indexed = results
-        .iter()
-        .find(|r| r.id == "geo/geographic_search_indexed")
-        .map(|r| r.mean_s());
+    let mean = |id: &str| results.iter().find(|r| r.id == id).map(|r| r.mean_s());
+    let linear = mean("geo/geographic_search_linear");
+    let indexed = mean("geo/geographic_search_indexed");
     if let (Some(linear), Some(indexed)) = (linear, indexed) {
         if indexed > 0.0 {
-            entries.push(format!(
-                "  {{\"id\": \"geo/indexed_over_linear_speedup\", \"mean_s\": {:.3}, \"samples\": 0}}",
-                linear / indexed
+            let speedup = linear / indexed;
+            entries.push(load::bench_entry(
+                "geo/indexed_over_linear_speedup",
+                speedup,
+                0,
             ));
-            println!(
-                "geographic_search indexed/linear speedup: {:.1}x",
-                linear / indexed
-            );
+            println!("geographic_search indexed/linear speedup: {speedup:.1}x");
         }
     }
-    let json = format!("{{\n\"results\": [\n{}\n]\n}}\n", entries.join(",\n"));
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_geo.json");
-    std::fs::write(path, json).expect("write BENCH_geo.json");
-    println!("wrote {path}");
+    load::write_report("geo", None, obj! {"results": entries}).expect("write BENCH_geo.json");
 }

@@ -16,26 +16,17 @@
 //! smoke runs use 1).
 
 use criterion::{black_box, Criterion};
-use hft_bench::REPRO_SEED;
+use hft_bench::load;
+use hft_bench::{obj, REPRO_SEED};
 use hft_corridor::{chicago_nj, generate, GeneratedEcosystem};
 use hft_serve::api::Request;
-use hft_serve::{Client, Proto, ServeConfig, Server, Service};
+use hft_serve::{Client, Proto, ServeConfig, Service};
 use hft_time::Date;
 use std::sync::OnceLock;
 
 fn eco() -> &'static GeneratedEcosystem {
     static ECO: OnceLock<GeneratedEcosystem> = OnceLock::new();
     ECO.get_or_init(|| generate(&chicago_nj(), REPRO_SEED))
-}
-
-/// Timed calls per bench: `HFT_BENCH_SAMPLES` when set (CI smoke passes
-/// 1), otherwise 30.
-fn sample_size() -> usize {
-    std::env::var("HFT_BENCH_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(30)
 }
 
 /// The warm request mix: cache hits in the session plus the cheap
@@ -65,7 +56,7 @@ fn warm_mix(licensee: &str) -> Vec<Request> {
 
 fn bench_handle(c: &mut Criterion, service: &Service, mix: &[Request], id: &str) {
     let mut g = c.benchmark_group("obs");
-    g.sample_size(sample_size());
+    g.sample_size(load::sample_size(30));
     g.bench_function(id, |b| {
         b.iter(|| {
             for request in mix {
@@ -81,7 +72,7 @@ fn bench_primitives(c: &mut Criterion, suffix: &str) {
     let counter = registry.counter("bench.obs.counter");
     let histogram = registry.histogram("bench.obs.histogram_ns");
     let mut g = c.benchmark_group("obs");
-    g.sample_size(sample_size());
+    g.sample_size(load::sample_size(30));
     g.bench_function(format!("counter_incr_{suffix}"), |b| {
         b.iter(|| counter.incr())
     });
@@ -106,23 +97,19 @@ fn bench_primitives(c: &mut Criterion, suffix: &str) {
 /// (sample stride 0, contexts unsampled) then capturing every request
 /// (stride 1: root span, queue.wait annotation, ring write per call).
 fn bench_wire(c: &mut Criterion, service: &Service, mix: &[Request]) {
-    let server = Server::bind(ServeConfig {
-        addr: "127.0.0.1:0".into(),
+    let config = ServeConfig {
         workers: 2,
         queue_depth: 64,
         ..ServeConfig::default()
-    })
-    .expect("bind bench server");
-    let addr = server.local_addr().expect("bench server addr");
-    std::thread::scope(|scope| {
-        let handle = scope.spawn(|| server.run_with(service));
+    };
+    load::self_host(config, service, &[], |addr| {
         let mut client = Client::connect_with(&addr, Proto::Binary).expect("connect bench client");
         for request in mix {
             client.call(request).expect("warm round trip");
         }
 
         let mut g = c.benchmark_group("obs");
-        g.sample_size(sample_size());
+        g.sample_size(load::sample_size(30));
         hft_obs::set_trace_sample_every(0);
         g.bench_function("wire_untraced", |b| {
             b.iter(|| {
@@ -147,18 +134,9 @@ fn bench_wire(c: &mut Criterion, service: &Service, mix: &[Request]) {
 
         hft_obs::set_trace_sample_every(64);
         hft_obs::clear_traces();
-        client
-            .call(&Request::Shutdown)
-            .expect("shutdown bench server");
-        handle
-            .join()
-            .expect("bench server thread")
-            .expect("bench server exit");
-    });
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+        Ok(())
+    })
+    .expect("bench server");
 }
 
 /// Median of a bench's samples. The enabled/disabled comparison sits
@@ -204,16 +182,9 @@ fn main() {
     hft_obs::take_samples();
 
     let results = criterion.results();
-    let mut entries: Vec<String> = results
+    let mut entries: Vec<_> = results
         .iter()
-        .map(|r| {
-            format!(
-                "  {{\"id\": \"{}\", \"mean_s\": {:.9}, \"samples\": {}}}",
-                json_escape(&r.id),
-                r.mean_s(),
-                r.samples.len()
-            )
-        })
+        .map(|r| load::bench_entry(&r.id, r.mean_s(), r.samples.len()))
         .collect();
     // Both overhead deltas sit inside scheduler noise on a quiet warm
     // mix, so the raw signed delta can dip negative (the instrumented
@@ -229,12 +200,8 @@ fn main() {
         }
         let raw_pct = (on - off) / off * 100.0;
         let overhead_pct = raw_pct.max(0.0);
-        entries.push(format!(
-            "  {{\"id\": \"obs/{id}_pct\", \"mean_s\": {overhead_pct:.3}, \"samples\": 0}}"
-        ));
-        entries.push(format!(
-            "  {{\"id\": \"obs/{id}_raw_pct\", \"mean_s\": {raw_pct:.3}, \"samples\": 0}}"
-        ));
+        entries.push(load::bench_entry(&format!("obs/{id}_pct"), overhead_pct, 0));
+        entries.push(load::bench_entry(&format!("obs/{id}_raw_pct"), raw_pct, 0));
         println!(
             "{what}: {overhead_pct:.2}% (raw {raw_pct:+.2}%, clamped at the 0% noise floor; budget {budget}%)"
         );
@@ -253,8 +220,5 @@ fn main() {
         "tracing overhead on warm bin/evented round trips",
         2,
     );
-    let json = format!("{{\n\"results\": [\n{}\n]\n}}\n", entries.join(",\n"));
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.json");
-    std::fs::write(path, json).expect("write BENCH_obs.json");
-    println!("wrote {path}");
+    load::write_report("obs", None, obj! {"results": entries}).expect("write BENCH_obs.json");
 }

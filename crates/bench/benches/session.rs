@@ -7,7 +7,8 @@
 //! workspace root so the speedup is tracked alongside the code.
 
 use criterion::{black_box, Criterion};
-use hft_bench::REPRO_SEED;
+use hft_bench::load;
+use hft_bench::{obj, REPRO_SEED};
 use hft_corridor::{chicago_nj, generate, GeneratedEcosystem};
 use hftnetview::report;
 use std::sync::OnceLock;
@@ -15,16 +16,6 @@ use std::sync::OnceLock;
 fn eco() -> &'static GeneratedEcosystem {
     static ECO: OnceLock<GeneratedEcosystem> = OnceLock::new();
     ECO.get_or_init(|| generate(&chicago_nj(), REPRO_SEED))
-}
-
-/// Timed calls per bench: `HFT_BENCH_SAMPLES` when set (CI smoke runs
-/// pass 1), otherwise 10.
-fn sample_size() -> usize {
-    std::env::var("HFT_BENCH_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(10)
 }
 
 /// The measured workload: the Table-1 leaderboard plus the nine-date
@@ -40,7 +31,7 @@ fn bench_generate(c: &mut Criterion) {
     // the whole corpus, calibrated closed-loop against the router.
     let spec = chicago_nj();
     let mut g = c.benchmark_group("session");
-    g.sample_size(sample_size());
+    g.sample_size(load::sample_size(10));
     g.bench_function("generate_full_ecosystem", |b| {
         b.iter(|| black_box(generate(black_box(&spec), REPRO_SEED)))
     });
@@ -50,7 +41,7 @@ fn bench_generate(c: &mut Criterion) {
 fn bench_cold(c: &mut Criterion) {
     let eco = eco();
     let mut g = c.benchmark_group("session");
-    g.sample_size(sample_size());
+    g.sample_size(load::sample_size(10));
     g.bench_function("table1_evolution_cold", |b| {
         b.iter(|| {
             // A fresh session per call: every epoch reconstructs anew.
@@ -66,15 +57,11 @@ fn bench_warm(c: &mut Criterion) {
     let analysis = report::Analysis::new(eco);
     sweep(&analysis); // prime the caches once, outside the timing loop
     let mut g = c.benchmark_group("session");
-    g.sample_size(sample_size());
+    g.sample_size(load::sample_size(10));
     g.bench_function("table1_evolution_warm", |b| {
         b.iter(|| black_box(sweep(black_box(&analysis))))
     });
     g.finish();
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn main() {
@@ -84,36 +71,25 @@ fn main() {
     bench_warm(&mut criterion);
 
     let results = criterion.results();
-    let mut entries: Vec<String> = results
+    let mut entries: Vec<_> = results
         .iter()
-        .map(|r| {
-            format!(
-                "  {{\"id\": \"{}\", \"mean_s\": {:.9}, \"samples\": {}}}",
-                json_escape(&r.id),
-                r.mean_s(),
-                r.samples.len()
-            )
-        })
+        .map(|r| load::bench_entry(&r.id, r.mean_s(), r.samples.len()))
         .collect();
-    let cold = results
-        .iter()
-        .find(|r| r.id.ends_with("_cold"))
-        .map(|r| r.mean_s());
-    let warm = results
-        .iter()
-        .find(|r| r.id.ends_with("_warm"))
-        .map(|r| r.mean_s());
-    if let (Some(cold), Some(warm)) = (cold, warm) {
+    let mean = |suffix: &str| {
+        let r = results.iter().find(|r| r.id.ends_with(suffix))?;
+        Some(r.mean_s())
+    };
+    if let (Some(cold), Some(warm)) = (mean("_cold"), mean("_warm")) {
         if warm > 0.0 {
-            entries.push(format!(
-                "  {{\"id\": \"session/cold_over_warm_speedup\", \"mean_s\": {:.3}, \"samples\": 0}}",
-                cold / warm
+            let speedup = cold / warm;
+            entries.push(load::bench_entry(
+                "session/cold_over_warm_speedup",
+                speedup,
+                0,
             ));
-            println!("session cold/warm speedup: {:.1}x", cold / warm);
+            println!("session cold/warm speedup: {speedup:.1}x");
         }
     }
-    let json = format!("{{\n\"results\": [\n{}\n]\n}}\n", entries.join(",\n"));
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_session.json");
-    std::fs::write(path, json).expect("write BENCH_session.json");
-    println!("wrote {path}");
+    load::write_report("session", None, obj! {"results": entries})
+        .expect("write BENCH_session.json");
 }

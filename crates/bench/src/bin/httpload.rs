@@ -17,12 +17,11 @@
 //! the run. `503` answers are backpressure, not errors: counted,
 //! retried, excluded from latency.
 
-use hft_bench::REPRO_SEED;
-use hft_corridor::{chicago_nj, generate};
+use hft_bench::load::{self, Flags, Tally};
+use hft_bench::{obj, REPRO_SEED};
 use hft_http::HttpExplorer;
-use hft_obs::HistogramShard;
 use hft_serve::evloop::ExtraListener;
-use hft_serve::{Client, Request, Response, ServeConfig, Server, Service};
+use hft_serve::{Request, ServeConfig, Service};
 use hft_time::Date;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -36,53 +35,7 @@ const R_FUNNEL: usize = 2;
 const R_METRICS: usize = 3;
 const R_API: usize = 4;
 
-struct Args {
-    seconds: f64,
-    concurrency: usize,
-    seed: u64,
-    out: Option<String>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut parsed = Args {
-        seconds: 3.0,
-        concurrency: 8,
-        seed: REPRO_SEED,
-        out: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut need = |name: &str| args.next().ok_or(format!("{name} needs a value"));
-        match a.as_str() {
-            "--seconds" => {
-                parsed.seconds = need("--seconds")?
-                    .parse()
-                    .map_err(|_| "bad --seconds".to_string())?
-            }
-            "--concurrency" => {
-                parsed.concurrency = need("--concurrency")?
-                    .parse()
-                    .map_err(|_| "bad --concurrency".to_string())?
-            }
-            "--seed" => {
-                parsed.seed = need("--seed")?
-                    .parse()
-                    .map_err(|_| "bad --seed".to_string())?
-            }
-            "--out" => parsed.out = Some(need("--out")?),
-            other => {
-                return Err(format!(
-                    "unknown argument {other:?}\nusage: httpload [--seconds S] \
-                     [--concurrency N] [--seed N] [--out PATH]"
-                ))
-            }
-        }
-    }
-    if parsed.concurrency == 0 {
-        return Err("--concurrency must be at least 1".into());
-    }
-    Ok(parsed)
-}
+const USAGE: &str = "usage: httpload [--seconds S] [--concurrency N] [--seed N] [--out PATH]";
 
 /// One workload entry: pre-rendered request bytes, its route class, and
 /// (API only) the expected response body.
@@ -224,27 +177,14 @@ impl HttpClient {
     }
 }
 
-#[derive(Default)]
-struct WorkerResult {
-    by_route: Vec<HistogramShard>,
-    completed: u64,
-    api_verified: u64,
-    overloaded_retries: u64,
-    wrong: u64,
-    first_mismatch: Option<String>,
-}
-
 /// One keep-alive connection replaying the mix until the deadline.
 fn worker(
     addr: SocketAddr,
     mix: &[MixEntry],
     offset: usize,
     deadline: Instant,
-) -> Result<WorkerResult, String> {
-    let mut result = WorkerResult {
-        by_route: (0..ROUTES.len()).map(|_| HistogramShard::new()).collect(),
-        ..WorkerResult::default()
-    };
+) -> Result<Tally, String> {
+    let mut tally = Tally::new(ROUTES.len());
     let mut client = HttpClient::connect(addr).map_err(|e| format!("connect: {e}"))?;
     let mut next = offset % mix.len();
     while Instant::now() < deadline {
@@ -253,106 +193,66 @@ fn worker(
         let (status, body) = client.call(&entry.raw)?;
         if status == 503 {
             // Backpressure is an answer, not an error: retry the entry.
-            result.overloaded_retries += 1;
+            tally.overloaded_retries += 1;
             continue;
         }
-        result.by_route[entry.class].record(started.elapsed().as_nanos() as u64);
-        result.completed += 1;
-        if let Some(expected) = &entry.expected {
-            if &body == expected {
-                result.api_verified += 1;
-            } else {
-                result.wrong += 1;
-                if result.first_mismatch.is_none() {
-                    result.first_mismatch = Some(format!(
-                        "request {next}: got {} bytes, want {} bytes",
-                        body.len(),
-                        expected.len()
-                    ));
-                }
+        tally.record(started.elapsed(), Some(entry.class));
+        match &entry.expected {
+            Some(expected) => tally.check(expected, &body, || format!("request {next}")),
+            None if status >= 400 => {
+                tally.fail(|| format!("request {next}: unexpected status {status}"))
             }
-        } else if status >= 400 {
-            result.wrong += 1;
-            if result.first_mismatch.is_none() {
-                result.first_mismatch = Some(format!("request {next}: unexpected status {status}"));
-            }
+            None => {}
         }
         next = (next + 1) % mix.len();
     }
-    Ok(result)
-}
-
-fn fmt(v: f64) -> String {
-    format!("{v:.3}")
+    Ok(tally)
 }
 
 fn main() -> std::process::ExitCode {
-    match run() {
-        Ok(()) => std::process::ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::ExitCode::FAILURE
-        }
-    }
+    load::exit(run())
 }
 
 fn run() -> Result<(), String> {
-    let args = parse_args()?;
-    eprintln!("generating corpus (seed {})...", args.seed);
-    let eco = generate(&chicago_nj(), args.seed);
+    let flags = Flags::parse(USAGE)?;
+    let seconds = flags.get("--seconds", 3.0)?;
+    let concurrency = flags.get("--concurrency", 8)?;
+    let seed = flags.get("--seed", REPRO_SEED)?;
+    if concurrency == 0 {
+        return Err("--concurrency must be at least 1".into());
+    }
+    let eco = load::corpus(seed);
     let mut licensees = eco.connected_2020.clone();
     licensees.sort();
     let service = Service::new(&eco.db);
     let mix = workload(&service, &licensees);
     eprintln!(
-        "mix: {} entries over {} routes, {} clients, {}s",
+        "mix: {} entries over {} routes, {concurrency} clients, {seconds}s",
         mix.len(),
         ROUTES.len(),
-        args.concurrency,
-        args.seconds,
     );
 
-    let server = Server::bind(ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        ..ServeConfig::default()
-    })
-    .map_err(|e| format!("bind: {e}"))?;
-    let wire_addr = server.local_addr().map_err(|e| format!("addr: {e}"))?;
     let explorer = HttpExplorer::new(&service);
     let extra = ExtraListener::bind("127.0.0.1:0", &explorer).map_err(|e| format!("bind: {e}"))?;
     let http_addr = extra.local_addr().map_err(|e| format!("addr: {e}"))?;
-
     let before = hft_obs::global().snapshot();
-    let (results, elapsed) = std::thread::scope(|scope| {
-        let server = &server;
-        let service = &service;
-        let extras = vec![extra];
-        let server_thread = scope.spawn(move || server.run_with_extras(service, &extras));
-
+    let served = load::self_host(ServeConfig::default(), &service, &[extra], |_| {
         let started = Instant::now();
-        let deadline = started + Duration::from_secs_f64(args.seconds);
+        let deadline = started + Duration::from_secs_f64(seconds);
         let mix = &mix;
-        let workers: Vec<_> = (0..args.concurrency)
-            .map(|i| {
-                let stride = i * mix.len() / args.concurrency;
-                scope.spawn(move || worker(http_addr, mix, stride, deadline))
-            })
-            .collect();
-        let results: Vec<Result<WorkerResult, String>> = workers
-            .into_iter()
-            .map(|w| w.join().expect("worker"))
-            .collect();
-        let elapsed = started.elapsed().as_secs_f64();
-
-        let mut wire = Client::connect(&wire_addr).expect("wire client");
-        let down = wire.call(&Request::Shutdown).expect("shutdown");
-        assert!(matches!(down, Response::ShuttingDown));
-        server_thread
-            .join()
-            .expect("server thread")
-            .expect("server result");
-        (results, elapsed)
-    });
+        let mut tally = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..concurrency)
+                .map(|i| {
+                    let stride = i * mix.len() / concurrency;
+                    scope.spawn(move || worker(http_addr, mix, stride, deadline))
+                })
+                .collect();
+            load::merged(workers.into_iter().map(|w| w.join().expect("worker")))
+        })?;
+        tally.elapsed_s = started.elapsed().as_secs_f64();
+        Ok(tally)
+    })?;
+    let merged = served.body;
 
     // Server-side RED, as the driver's own per-route instruments saw the
     // run: request/error counts and duration means from a registry delta
@@ -381,91 +281,53 @@ fn run() -> Result<(), String> {
         );
     }
 
-    let mut merged = WorkerResult {
-        by_route: (0..ROUTES.len()).map(|_| HistogramShard::new()).collect(),
-        ..WorkerResult::default()
-    };
-    for result in results {
-        let r = result?;
-        for (m, s) in merged.by_route.iter_mut().zip(&r.by_route) {
-            m.merge(s);
-        }
-        merged.completed += r.completed;
-        merged.api_verified += r.api_verified;
-        merged.overloaded_retries += r.overloaded_retries;
-        merged.wrong += r.wrong;
-        if merged.first_mismatch.is_none() {
-            merged.first_mismatch = r.first_mismatch;
-        }
-    }
-
-    let ms = |ns: u64| ns as f64 / 1e6;
     let mut route_rows = Vec::new();
-    let mut total = HistogramShard::new();
-    for (route, shard) in ROUTES.iter().zip(&merged.by_route) {
-        total.merge(shard);
+    for (route, shard) in ROUTES.iter().zip(&merged.by_bucket) {
         let s = shard.snapshot();
+        let (p50, p90) = (load::ms(&s, 0.50), load::ms(&s, 0.90));
+        let (p99, p999) = (load::ms(&s, 0.99), load::ms(&s, 0.999));
         println!(
-            "  {route:<9} {:>7} requests  p50 {:.3} ms  p90 {:.3} ms  p99 {:.3} ms  p999 {:.3} ms",
+            "  {route:<9} {:>7} requests  p50 {p50:.3} ms  p90 {p90:.3} ms  p99 {p99:.3} ms  \
+             p999 {p999:.3} ms",
             s.count,
-            ms(s.percentile(0.50)),
-            ms(s.percentile(0.90)),
-            ms(s.percentile(0.99)),
-            ms(s.percentile(0.999)),
         );
-        route_rows.push(format!(
-            "{{\"route\": \"{route}\", \"count\": {}, \"p50_ms\": {}, \"p90_ms\": {}, \
-             \"p99_ms\": {}, \"p999_ms\": {}}}",
-            s.count,
-            fmt(ms(s.percentile(0.50))),
-            fmt(ms(s.percentile(0.90))),
-            fmt(ms(s.percentile(0.99))),
-            fmt(ms(s.percentile(0.999))),
-        ));
+        route_rows.push(obj! {
+            "route": route,
+            "count": s.count,
+            "p50_ms": p50,
+            "p90_ms": p90,
+            "p99_ms": p99,
+            "p999_ms": p999,
+        });
     }
-    let t = total.snapshot();
-    let rps = if elapsed > 0.0 {
-        merged.completed as f64 / elapsed
-    } else {
-        0.0
-    };
     println!(
         "http: {} requests {:.0} rps  p50 {:.3} ms  p99 {:.3} ms  \
          ({} api answers byte-verified, {} wrong, {} overloaded retries)",
         merged.completed,
-        rps,
-        ms(t.percentile(0.50)),
-        ms(t.percentile(0.99)),
-        merged.api_verified,
+        merged.rps(),
+        merged.percentile_ms(0.50),
+        merged.percentile_ms(0.99),
+        merged.verified,
         merged.wrong,
         merged.overloaded_retries,
     );
 
-    let json = format!(
-        "{{\n\"seconds\": {}, \"concurrency\": {}, \"seed\": {},\n\
-         \"requests\": {}, \"rps\": {}, \"p50_ms\": {}, \"p90_ms\": {}, \"p99_ms\": {}, \
-         \"p999_ms\": {},\n\
-         \"api_verified\": {}, \"wrong_answers\": {}, \"overloaded_retries\": {},\n\
-         \"per_route\": [\n  {}\n]\n}}\n",
-        fmt(elapsed),
-        args.concurrency,
-        args.seed,
-        merged.completed,
-        fmt(rps),
-        fmt(ms(t.percentile(0.50))),
-        fmt(ms(t.percentile(0.90))),
-        fmt(ms(t.percentile(0.99))),
-        fmt(ms(t.percentile(0.999))),
-        merged.api_verified,
-        merged.wrong,
-        merged.overloaded_retries,
-        route_rows.join(",\n  "),
-    );
-    let path = args
-        .out
-        .unwrap_or_else(|| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_http.json").into());
-    std::fs::write(&path, json).map_err(|e| format!("write {path}: {e}"))?;
-    println!("wrote {path}");
+    let report = obj! {
+        "seconds": merged.elapsed_s,
+        "concurrency": concurrency,
+        "seed": seed,
+        "requests": merged.completed,
+        "rps": merged.rps(),
+        "p50_ms": merged.percentile_ms(0.50),
+        "p90_ms": merged.percentile_ms(0.90),
+        "p99_ms": merged.percentile_ms(0.99),
+        "p999_ms": merged.percentile_ms(0.999),
+        "api_verified": merged.verified,
+        "wrong_answers": merged.wrong,
+        "overloaded_retries": merged.overloaded_retries,
+        "per_route": route_rows,
+    };
+    load::write_report("http", flags.string("--out").as_deref(), report)?;
 
     if merged.wrong > 0 {
         return Err(format!(

@@ -38,16 +38,19 @@
 //! exceeds 10x gets a loud `TAIL ALERT` line so queueing regressions
 //! fail visibly in CI smoke output.
 
-use hft_bench::REPRO_SEED;
-use hft_corridor::{chicago_nj, generate};
-use hft_obs::{HistogramShard, RegistrySnapshot};
+use hft_bench::load::{self, Flags, Json, Tally};
+use hft_bench::{obj, REPRO_SEED};
+use hft_obs::{HistDelta, RegistryDelta};
 use hft_serve::api::{Request, Response};
-use hft_serve::{Client, Proto, ServeConfig, Server, Service};
+use hft_serve::{Proto, ServeConfig, Service, WireTrace};
 use hft_time::Date;
-use hft_uls::shard::shard_of_licensee;
-use std::collections::VecDeque;
+use hft_uls::shard::ShardStrategy;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::time::{Duration, Instant};
+
+const USAGE: &str = "usage: loadgen [--connect ADDR] [--seconds S] [--concurrency N] \
+                     [--window N] [--seed N] [--shutdown-server] [--out PATH] [--shards N] \
+                     [--proto json|bin] [--matrix]";
 
 struct Args {
     connect: Option<String>,
@@ -62,74 +65,31 @@ struct Args {
     matrix: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut parsed = Args {
-        connect: None,
-        seconds: 5.0,
-        concurrency: 32,
-        window: 8,
-        seed: REPRO_SEED,
-        shutdown_server: false,
-        out: None,
-        shards: 0,
-        proto: Proto::Json,
-        matrix: false,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut need = |name: &str| args.next().ok_or(format!("{name} needs a value"));
-        match a.as_str() {
-            "--connect" => parsed.connect = Some(need("--connect")?),
-            "--seconds" => {
-                parsed.seconds = need("--seconds")?
-                    .parse()
-                    .map_err(|_| "bad --seconds".to_string())?
-            }
-            "--concurrency" => {
-                parsed.concurrency = need("--concurrency")?
-                    .parse()
-                    .map_err(|_| "bad --concurrency".to_string())?
-            }
-            "--window" => {
-                parsed.window = need("--window")?
-                    .parse()
-                    .map_err(|_| "bad --window".to_string())?
-            }
-            "--seed" => {
-                parsed.seed = need("--seed")?
-                    .parse()
-                    .map_err(|_| "bad --seed".to_string())?
-            }
-            "--shutdown-server" => parsed.shutdown_server = true,
-            "--out" => parsed.out = Some(need("--out")?),
-            "--shards" => {
-                parsed.shards = need("--shards")?
-                    .parse()
-                    .map_err(|_| "bad --shards".to_string())?
-            }
-            "--proto" => {
-                let v = need("--proto")?;
-                parsed.proto = Proto::parse(&v).ok_or(format!("bad proto {v:?} (json|bin)"))?;
-            }
-            "--matrix" => parsed.matrix = true,
-            other => {
-                return Err(format!(
-                    "unknown argument {other:?}\nusage: loadgen [--connect ADDR] [--seconds S] \
-                     [--concurrency N] [--window N] [--seed N] [--shutdown-server] [--out PATH] \
-                     [--shards N] [--proto json|bin] [--matrix]"
-                ))
-            }
+impl Args {
+    fn parse() -> Result<Args, String> {
+        let flags = Flags::parse(USAGE)?;
+        let args = Args {
+            connect: flags.string("--connect"),
+            seconds: flags.get("--seconds", 5.0)?,
+            concurrency: flags.get("--concurrency", 32)?,
+            window: flags.get("--window", 8)?,
+            seed: flags.get("--seed", REPRO_SEED)?,
+            shutdown_server: flags.on("--shutdown-server"),
+            out: flags.string("--out"),
+            shards: flags.get("--shards", 0)?,
+            proto: flags.parse_or("--proto", Proto::Json, Proto::parse)?,
+            matrix: flags.on("--matrix"),
+        };
+        if args.concurrency == 0 || args.window == 0 {
+            return Err("--concurrency and --window must be positive".into());
         }
+        if args.matrix && args.connect.is_some() {
+            return Err(
+                "--matrix self-hosts a server per combo; it cannot be used with --connect".into(),
+            );
+        }
+        Ok(args)
     }
-    if parsed.concurrency == 0 || parsed.window == 0 {
-        return Err("--concurrency and --window must be positive".into());
-    }
-    if parsed.matrix && parsed.connect.is_some() {
-        return Err(
-            "--matrix self-hosts a server per combo; it cannot be used with --connect".into(),
-        );
-    }
-    Ok(parsed)
 }
 
 /// The mixed workload: the paper's query surface with hot-spot
@@ -232,98 +192,79 @@ fn workload(licensees: &[String]) -> Vec<Request> {
     mix
 }
 
-fn connect_retry(addr: &SocketAddr, proto: Proto, patience: Duration) -> Result<Client, String> {
-    let deadline = Instant::now() + patience;
-    loop {
-        match Client::connect_with(addr, proto) {
-            Ok(client) => return Ok(client),
-            Err(e) => {
-                if Instant::now() >= deadline {
-                    return Err(format!("could not connect to {addr}: {e}"));
-                }
-                std::thread::sleep(Duration::from_millis(250));
-            }
-        }
-    }
+/// What every protocol cell replays: the mix, each request's expected
+/// bytes, and the per-shard latency attribution (empty when off).
+struct Replay {
+    mix: Vec<Request>,
+    expected: Vec<Vec<u8>>,
+    attr: Vec<usize>,
 }
 
-/// Which latency bucket a request lands in when `--shards N` breakout
-/// is on: single-licensee requests belong to the owning shard under the
-/// fleet's licensee-hash routing; everything else is scatter-gathered
-/// across all shards and lands in the final "broadcast" bucket.
-fn attribution(mix: &[Request], shards: usize) -> Vec<usize> {
-    mix.iter()
-        .map(|req| match req {
-            Request::Network { licensee, .. }
-            | Request::Route { licensee, .. }
-            | Request::Apa { licensee, .. }
-            | Request::Weather { licensee, .. }
-            | Request::Race { licensee, .. }
-            | Request::StretchSweep { licensee, .. } => {
-                shard_of_licensee(licensee, shards) as usize
-            }
-            _ => shards,
+impl Replay {
+    /// A warm pass, then the timed serial and concurrent phases against
+    /// one server.
+    fn phases(
+        &self,
+        addr: &SocketAddr,
+        proto: Proto,
+        args: &Args,
+    ) -> Result<(Tally, Tally), String> {
+        // Warm pass: every distinct request once, so both timed phases
+        // hit a warm server (the acceptance setup).
+        let mut warm = load::connect(addr, proto)?;
+        for request in &self.mix {
+            while warm.call(request).map_err(|e| format!("warmup: {e}"))? == Response::Overloaded {}
+        }
+        eprintln!("warm; serial phase ({:.1}s)...", args.seconds);
+        let serial = self.phase(addr, proto, args.seconds, 1, 1)?;
+        eprintln!(
+            "serial: {} requests in {:.2}s = {:.0} rps; concurrent phase ({} conns, window {})...",
+            serial.completed,
+            serial.elapsed_s,
+            serial.rps(),
+            args.concurrency,
+            args.window
+        );
+        let concurrent = self.phase(addr, proto, args.seconds, args.concurrency, args.window)?;
+        Ok((serial, concurrent))
+    }
+
+    /// `concurrency` connections, each keeping up to `window` requests
+    /// in flight for `seconds`. Everyone connects first, so the timed
+    /// window measures serving, not connection setup.
+    fn phase(
+        &self,
+        addr: &SocketAddr,
+        proto: Proto,
+        seconds: f64,
+        concurrency: usize,
+        window: usize,
+    ) -> Result<Tally, String> {
+        let Replay {
+            mix,
+            expected,
+            attr,
+        } = self;
+        let mut clients = (0..concurrency)
+            .map(|_| load::connect(addr, proto))
+            .collect::<Result<Vec<_>, _>>()?;
+        let deadline = Instant::now() + Duration::from_secs_f64(seconds);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = clients
+                .iter_mut()
+                .enumerate()
+                .map(|(i, client)| {
+                    scope.spawn(move || {
+                        load::drive(client, mix, expected, attr, i * 13, window, deadline)
+                    })
+                })
+                .collect();
+            load::merged(
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("client thread")),
+            )
         })
-        .collect()
-}
-
-/// Label of attribution bucket `b` among `shards` shards.
-fn bucket_label(b: usize, shards: usize) -> String {
-    if b == shards {
-        "broadcast".to_string()
-    } else {
-        format!("shard{b}")
-    }
-}
-
-#[derive(Default)]
-struct PhaseResult {
-    completed: u64,
-    overloaded_retries: u64,
-    wrong: u64,
-    first_mismatch: Option<String>,
-    /// Per-connection latency shard (ns); shards merge across
-    /// connections with no loss versus single-shard recording.
-    latencies: HistogramShard,
-    /// Latency breakout by attribution bucket (`shards + 1` buckets,
-    /// the last one broadcast); empty when breakout is off.
-    by_bucket: Vec<HistogramShard>,
-    elapsed_s: f64,
-}
-
-impl PhaseResult {
-    fn rps(&self) -> f64 {
-        if self.elapsed_s > 0.0 {
-            self.completed as f64 / self.elapsed_s
-        } else {
-            0.0
-        }
-    }
-
-    fn merge(&mut self, other: PhaseResult) {
-        self.completed += other.completed;
-        self.overloaded_retries += other.overloaded_retries;
-        self.wrong += other.wrong;
-        if self.first_mismatch.is_none() {
-            self.first_mismatch = other.first_mismatch;
-        }
-        self.latencies.merge(&other.latencies);
-        if self.by_bucket.is_empty() {
-            self.by_bucket = other.by_bucket;
-        } else {
-            for (mine, theirs) in self.by_bucket.iter_mut().zip(&other.by_bucket) {
-                mine.merge(theirs);
-            }
-        }
-        self.elapsed_s = self.elapsed_s.max(other.elapsed_s);
-    }
-
-    fn percentile_ms(&self, q: f64) -> f64 {
-        self.latencies.snapshot().percentile(q) as f64 / 1e6
-    }
-
-    fn max_ms(&self) -> f64 {
-        self.latencies.snapshot().max as f64 / 1e6
     }
 }
 
@@ -334,8 +275,8 @@ fn tail_alert(label: &str, snapshot: &hft_obs::HistogramSnapshot) {
     if snapshot.count == 0 {
         return;
     }
-    let p50 = snapshot.percentile(0.50) as f64 / 1e6;
-    let p90 = snapshot.percentile(0.90) as f64 / 1e6;
+    let p50 = load::ms(snapshot, 0.50);
+    let p90 = load::ms(snapshot, 0.90);
     if p50 > 0.0 && p90 / p50 > 10.0 {
         println!(
             "TAIL ALERT [{label}]: p90/p50 = {:.1}x exceeds 10x (p50 {p50:.3} ms, p90 {p90:.3} ms)",
@@ -344,209 +285,77 @@ fn tail_alert(label: &str, snapshot: &hft_obs::HistogramSnapshot) {
     }
 }
 
-/// Drive one connection: keep up to `window` requests in flight, cycle
-/// the workload starting at `offset`, stop issuing at the deadline, then
-/// drain. Every non-`Overloaded` answer is decoded and byte-compared to
-/// `expected` after re-encoding with the canonical JSON codec — the
-/// verification is wire-format independent.
-fn drive(
-    client: &mut Client,
-    mix: &[Request],
-    expected: &[Vec<u8>],
-    attr: Option<&[usize]>,
-    offset: usize,
-    window: usize,
-    deadline: Instant,
-) -> Result<PhaseResult, String> {
-    let mut result = PhaseResult::default();
-    if let Some(attr) = attr {
-        let buckets = attr.iter().max().map_or(0, |m| m + 1);
-        result.by_bucket = (0..buckets).map(|_| HistogramShard::default()).collect();
-    }
-    let mut next = offset % mix.len();
-    let mut resend: VecDeque<usize> = VecDeque::new();
-    let mut pending: VecDeque<(usize, Instant)> = VecDeque::new();
-    let io = |e: std::io::Error| format!("loadgen IO: {e}");
-    loop {
-        let now = Instant::now();
-        let mut queued = false;
-        while pending.len() < window && now < deadline {
-            let idx = resend.pop_front().unwrap_or_else(|| {
-                let idx = next;
-                next = (next + 1) % mix.len();
-                idx
-            });
-            client.send(&mix[idx]).map_err(io)?;
-            pending.push_back((idx, Instant::now()));
-            queued = true;
-        }
-        if queued {
-            client.flush().map_err(io)?;
-        }
-        let Some((idx, sent)) = pending.pop_front() else {
-            break; // past the deadline with nothing in flight
-        };
-        let response = client.recv().map_err(io)?;
-        if response == Response::Overloaded {
-            result.overloaded_retries += 1;
-            resend.push_back(idx);
-            continue;
-        }
-        let latency_ns = sent.elapsed().as_nanos() as u64;
-        result.latencies.record(latency_ns);
-        if let Some(attr) = attr {
-            result.by_bucket[attr[idx]].record(latency_ns);
-        }
-        result.completed += 1;
-        let got = response.encode();
-        if got != expected[idx] {
-            result.wrong += 1;
-            if result.first_mismatch.is_none() {
-                result.first_mismatch = Some(format!(
-                    "request {:?}\n  want {}\n  got  {}",
-                    mix[idx],
-                    String::from_utf8_lossy(&expected[idx]),
-                    String::from_utf8_lossy(&got),
-                ));
-            }
-        }
-    }
-    Ok(result)
-}
-
-fn run_serial(
-    addr: &SocketAddr,
-    proto: Proto,
-    mix: &[Request],
-    expected: &[Vec<u8>],
-    attr: Option<&[usize]>,
-    seconds: f64,
-) -> Result<PhaseResult, String> {
-    let mut client = connect_retry(addr, proto, Duration::from_secs(180))?;
-    let started = Instant::now();
-    let deadline = started + Duration::from_secs_f64(seconds);
-    let mut result = drive(&mut client, mix, expected, attr, 0, 1, deadline)?;
-    result.elapsed_s = started.elapsed().as_secs_f64();
-    Ok(result)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_concurrent(
-    addr: &SocketAddr,
-    proto: Proto,
-    mix: &[Request],
-    expected: &[Vec<u8>],
-    attr: Option<&[usize]>,
-    seconds: f64,
-    concurrency: usize,
-    window: usize,
-) -> Result<PhaseResult, String> {
-    // Connect everyone first so the timed window measures serving, not
-    // connection setup.
-    let mut clients: Vec<Client> = Vec::with_capacity(concurrency);
-    for _ in 0..concurrency {
-        clients.push(connect_retry(addr, proto, Duration::from_secs(180))?);
-    }
-    let started = Instant::now();
-    let deadline = started + Duration::from_secs_f64(seconds);
-    let outcomes: Vec<Result<PhaseResult, String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = clients
-            .iter_mut()
-            .enumerate()
-            .map(|(i, client)| {
-                scope.spawn(move || drive(client, mix, expected, attr, i * 13, window, deadline))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let mut merged = PhaseResult::default();
-    for outcome in outcomes {
-        merged.merge(outcome?);
-    }
-    merged.elapsed_s = started.elapsed().as_secs_f64();
-    Ok(merged)
-}
-
-/// Where the wire time went during one self-hosted combo: deltas of the
-/// server's `serve.decode_ns`/`serve.encode_ns`/`serve.poll_wake_ns`
+/// Where the wire time went during one self-hosted combo: the growth of
+/// the server's `serve.decode_ns`/`serve.encode_ns`/`serve.poll_wake_ns`
 /// histograms and buffer-pool counters between two registry snapshots
 /// (the registry is process-global and cumulative, so each combo is the
 /// after-minus-before difference).
-#[derive(Default, Clone, Copy)]
-struct WireSample {
-    decode_count: u64,
-    decode_mean_ns: f64,
-    encode_count: u64,
-    encode_mean_ns: f64,
-    poll_wake_count: u64,
-    poll_wake_mean_ns: f64,
-    bufpool_hits: u64,
-    bufpool_misses: u64,
-}
+struct WireSample(RegistryDelta);
 
 impl WireSample {
-    fn delta(before: &RegistrySnapshot, after: &RegistrySnapshot) -> WireSample {
-        let d = hft_obs::registry::delta(before, after);
-        let hist = |name: &str| {
-            let h = d.histogram(name);
-            (h.count, h.mean())
-        };
-        let (decode_count, decode_mean_ns) = hist("serve.decode_ns");
-        let (encode_count, encode_mean_ns) = hist("serve.encode_ns");
-        let (poll_wake_count, poll_wake_mean_ns) = hist("serve.poll_wake_ns");
-        WireSample {
-            decode_count,
-            decode_mean_ns,
-            encode_count,
-            encode_mean_ns,
-            poll_wake_count,
-            poll_wake_mean_ns,
-            bufpool_hits: d.counter("serve.bufpool_hits"),
-            bufpool_misses: d.counter("serve.bufpool_misses"),
-        }
+    fn histograms(&self) -> [HistDelta; 3] {
+        ["serve.decode_ns", "serve.encode_ns", "serve.poll_wake_ns"].map(|n| self.0.histogram(n))
     }
 
-    fn bufpool_hit_rate(&self) -> f64 {
-        let total = self.bufpool_hits + self.bufpool_misses;
-        if total > 0 {
-            self.bufpool_hits as f64 / total as f64
-        } else {
-            0.0
-        }
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "{{\"decode_count\": {}, \"decode_mean_ns\": {}, \"encode_count\": {}, \
-             \"encode_mean_ns\": {}, \"poll_wake_count\": {}, \"poll_wake_mean_ns\": {}, \
-             \"bufpool_hits\": {}, \"bufpool_misses\": {}}}",
-            self.decode_count,
-            fmt(self.decode_mean_ns),
-            self.encode_count,
-            fmt(self.encode_mean_ns),
-            self.poll_wake_count,
-            fmt(self.poll_wake_mean_ns),
-            self.bufpool_hits,
-            self.bufpool_misses,
+    fn bufpool(&self) -> (u64, u64) {
+        let d = &self.0;
+        (
+            d.counter("serve.bufpool_hits"),
+            d.counter("serve.bufpool_misses"),
         )
+    }
+
+    fn print(&self) {
+        let [decode, encode, wake] = self.histograms();
+        let (hits, misses) = self.bufpool();
+        println!(
+            "wire: decode {:.1} us mean (n={}), encode {:.1} us mean (n={}), poll wake \
+             {:.1} us mean (n={}), bufpool {:.1}% hit",
+            decode.mean() / 1e3,
+            decode.count,
+            encode.mean() / 1e3,
+            encode.count,
+            wake.mean() / 1e3,
+            wake.count,
+            hits as f64 / (hits + misses).max(1) as f64 * 100.0,
+        );
+    }
+
+    fn json(&self) -> Json {
+        let [decode, encode, wake] = self.histograms();
+        let (hits, misses) = self.bufpool();
+        obj! {
+            "decode_count": decode.count,
+            "decode_mean_ns": decode.mean(),
+            "encode_count": encode.count,
+            "encode_mean_ns": encode.mean(),
+            "poll_wake_count": wake.count,
+            "poll_wake_mean_ns": wake.mean(),
+            "bufpool_hits": hits,
+            "bufpool_misses": misses,
+        }
     }
 }
 
 /// One protocol cell of the benchmark matrix.
 struct ComboResult {
     proto: Proto,
-    serial: PhaseResult,
-    concurrent: PhaseResult,
+    serial: Tally,
+    concurrent: Tally,
     /// Server-side wire attribution; only available when the server
     /// shares this process (self-hosted runs).
     wire: Option<WireSample>,
     /// The slowest captured traces, pulled from the server's flight
     /// recorder after the concurrent phase — the waterfall behind any
     /// `TAIL ALERT` this cell prints.
-    traces: Vec<hft_serve::WireTrace>,
+    traces: Vec<WireTrace>,
 }
 
 impl ComboResult {
+    fn wrong(&self) -> u64 {
+        self.serial.wrong + self.concurrent.wrong
+    }
+
     fn print(&self) {
         let serial = &self.serial;
         let concurrent = &self.concurrent;
@@ -570,28 +379,14 @@ impl ComboResult {
             concurrent.percentile_ms(0.999),
             concurrent.max_ms(),
         );
-        let speedup = if serial.rps() > 0.0 {
-            concurrent.rps() / serial.rps()
-        } else {
-            0.0
-        };
         println!(
-            "speedup {speedup:.1}x, {} overloaded retries, {} wrong answers",
+            "speedup {:.1}x, {} overloaded retries, {} wrong answers",
+            self.speedup(),
             serial.overloaded_retries + concurrent.overloaded_retries,
-            serial.wrong + concurrent.wrong
+            self.wrong()
         );
         if let Some(wire) = &self.wire {
-            println!(
-                "wire: decode {:.1} us mean (n={}), encode {:.1} us mean (n={}), poll wake \
-                 {:.1} us mean (n={}), bufpool {:.1}% hit",
-                wire.decode_mean_ns / 1e3,
-                wire.decode_count,
-                wire.encode_mean_ns / 1e3,
-                wire.encode_count,
-                wire.poll_wake_mean_ns / 1e3,
-                wire.poll_wake_count,
-                wire.bufpool_hit_rate() * 100.0,
-            );
+            wire.print();
         }
         tail_alert(
             &format!("{} concurrent", self.proto.name()),
@@ -605,67 +400,65 @@ impl ComboResult {
         }
     }
 
-    fn json(&self, args: &Args) -> String {
-        let serial = &self.serial;
-        let concurrent = &self.concurrent;
-        let wire = self
-            .wire
-            .as_ref()
-            .map(|w| format!(", \"wire\": {}", w.json()))
-            .unwrap_or_default();
-        format!(
-            "{{\"proto\": \"{}\", \
-             \"serial\": {{\"requests\": {}, \"seconds\": {}, \"rps\": {}, \"p50_ms\": {}, \
-             \"max_ms\": {}}}, \
-             \"concurrent\": {{\"concurrency\": {}, \"window\": {}, \"requests\": {}, \
-             \"seconds\": {}, \"rps\": {}, \"p50_ms\": {}, \"p90_ms\": {}, \"p95_ms\": {}, \
-             \"p99_ms\": {}, \"p999_ms\": {}, \"max_ms\": {}, \"overloaded_retries\": {}, \
-             \"wrong_answers\": {}}}{wire}}}",
-            self.proto.name(),
-            serial.completed,
-            fmt(serial.elapsed_s),
-            fmt(serial.rps()),
-            fmt(serial.percentile_ms(0.50)),
-            fmt(serial.max_ms()),
-            args.concurrency,
-            args.window,
-            concurrent.completed,
-            fmt(concurrent.elapsed_s),
-            fmt(concurrent.rps()),
-            fmt(concurrent.percentile_ms(0.50)),
-            fmt(concurrent.percentile_ms(0.90)),
-            fmt(concurrent.percentile_ms(0.95)),
-            fmt(concurrent.percentile_ms(0.99)),
-            fmt(concurrent.percentile_ms(0.999)),
-            fmt(concurrent.max_ms()),
-            concurrent.overloaded_retries,
-            serial.wrong + concurrent.wrong,
-        )
+    /// Concurrent over serial throughput.
+    fn speedup(&self) -> f64 {
+        if self.serial.rps() > 0.0 {
+            self.concurrent.rps() / self.serial.rps()
+        } else {
+            0.0
+        }
     }
-}
 
-fn fmt(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".to_string()
+    fn serial_json(&self) -> Json {
+        let s = &self.serial;
+        obj! {
+            "requests": s.completed,
+            "seconds": s.elapsed_s,
+            "rps": s.rps(),
+            "p50_ms": s.percentile_ms(0.50),
+            "max_ms": s.max_ms(),
+        }
+    }
+
+    fn concurrent_json(&self, args: &Args, wrong: u64) -> Json {
+        let c = &self.concurrent;
+        obj! {
+            "concurrency": args.concurrency,
+            "window": args.window,
+            "requests": c.completed,
+            "seconds": c.elapsed_s,
+            "rps": c.rps(),
+            "p50_ms": c.percentile_ms(0.50),
+            "p90_ms": c.percentile_ms(0.90),
+            "p95_ms": c.percentile_ms(0.95),
+            "p99_ms": c.percentile_ms(0.99),
+            "p999_ms": c.percentile_ms(0.999),
+            "max_ms": c.max_ms(),
+            "overloaded_retries": c.overloaded_retries,
+            "wrong_answers": wrong,
+        }
+    }
+
+    fn json(&self, args: &Args) -> Json {
+        let mut cell = obj! {
+            "proto": self.proto.name(),
+            "serial": self.serial_json(),
+            "concurrent": self.concurrent_json(args, self.wrong()),
+        };
+        if let Some(wire) = &self.wire {
+            load::push(&mut cell, "wire", wire.json());
+        }
+        cell
     }
 }
 
 fn main() -> std::process::ExitCode {
-    match run() {
-        Ok(()) => std::process::ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::ExitCode::FAILURE
-        }
-    }
+    load::exit(run())
 }
 
 fn run() -> Result<(), String> {
-    let args = parse_args()?;
-    eprintln!("generating corpus (seed {})...", args.seed);
-    let eco = generate(&chicago_nj(), args.seed);
+    let args = Args::parse()?;
+    let eco = load::corpus(args.seed);
     let mut licensees = eco.connected_2020.clone();
     licensees.sort();
     let mix = workload(&licensees);
@@ -674,101 +467,46 @@ fn run() -> Result<(), String> {
     // session, encoded with the same canonical codec.
     eprintln!("computing {} expected answers locally...", mix.len());
     let reference = Service::new(&eco.db);
-    let expected: Vec<Vec<u8>> = mix.iter().map(|r| reference.handle(r).encode()).collect();
+    let expected = mix.iter().map(|r| reference.handle(r).encode()).collect();
 
     // Optional per-shard latency breakout: attribute each request to the
     // shard a licensee-hash fleet would route it to (last bucket =
     // broadcast). This is client-side bookkeeping — it works against any
     // server and lets the p90-vs-p50 queueing gap be pinned on a shard.
-    let attr = (args.shards > 0).then(|| attribution(&mix, args.shards));
-    let attr = attr.as_deref();
-
-    // Warm + serial + concurrent against one server, optionally asking
-    // it to shut down afterwards.
-    let run_phases = |addr: &SocketAddr,
-                      proto: Proto,
-                      shutdown: bool|
-     -> Result<(PhaseResult, PhaseResult, Vec<hft_serve::WireTrace>), String> {
-        // Warm pass: every distinct request once, so both timed phases
-        // hit a warm server (the acceptance setup).
-        let mut warm = connect_retry(addr, proto, Duration::from_secs(180))?;
-        for request in &mix {
-            loop {
-                let response = warm.call(request).map_err(|e| format!("warmup: {e}"))?;
-                if response != Response::Overloaded {
-                    break;
-                }
-            }
-        }
-        eprintln!("warm; serial phase ({:.1}s)...", args.seconds);
-        let serial = run_serial(addr, proto, &mix, &expected, attr, args.seconds)?;
-        eprintln!(
-            "serial: {} requests in {:.2}s = {:.0} rps; concurrent phase ({} conns, window {})...",
-            serial.completed,
-            serial.elapsed_s,
-            serial.rps(),
-            args.concurrency,
-            args.window
-        );
-        let concurrent = run_concurrent(
-            addr,
-            proto,
-            &mix,
-            &expected,
-            attr,
-            args.seconds,
-            args.concurrency,
-            args.window,
-        )?;
-        // Pull the slowest captured traces before (optionally) shutting
-        // the server down, so a TAIL ALERT is followed by the actual
-        // waterfalls behind the tail. Best-effort: a pre-tracing server
-        // answering an error just means no waterfalls.
-        let mut c = connect_retry(addr, proto, Duration::from_secs(30))?;
-        let traces = match c.call(&Request::Traces {
-            limit: 3,
-            trace_id: None,
-        }) {
-            Ok(Response::Traces { traces }) => traces,
-            _ => Vec::new(),
-        };
-        if shutdown {
-            let ack = c.call(&Request::Shutdown).map_err(|e| e.to_string())?;
-            if ack != Response::ShuttingDown {
-                return Err(format!("shutdown not acknowledged: {ack:?}"));
-            }
-        }
-        Ok((serial, concurrent, traces))
+    let attr = match args.shards {
+        0 => Vec::new(),
+        n => load::attribution(&mix, n, ShardStrategy::LicenseeHash),
+    };
+    let replay = Replay {
+        mix,
+        expected,
+        attr,
     };
 
     // Self-host one protocol cell on a fresh server and fresh port; the
     // worker pool is sized identically for every cell so cells are
     // comparable.
     let self_host = |proto: Proto| -> Result<ComboResult, String> {
-        let server = Server::bind(ServeConfig {
-            addr: "127.0.0.1:0".into(),
+        let config = ServeConfig {
             workers: (args.concurrency * args.window).clamp(8, 256),
             queue_depth: (args.concurrency * args.window).max(64),
             ..ServeConfig::default()
-        })
-        .map_err(|e| e.to_string())?;
-        let addr = server.local_addr().map_err(|e| e.to_string())?;
-        eprintln!("[{}] self-hosting on {addr}", proto.name());
+        };
         let before = hft_obs::global().snapshot();
-        let (serial, concurrent, traces) = std::thread::scope(|scope| {
-            let handle = scope.spawn(|| server.run_with(&Service::new(&eco.db)));
-            let phases = run_phases(&addr, proto, true);
-            let stats = handle.join().expect("server thread");
-            stats.map_err(|e| e.to_string())?;
-            phases
+        let served = load::self_host(config, &Service::new(&eco.db), &[], |addr| {
+            eprintln!("[{}] self-hosting on {addr}", proto.name());
+            replay.phases(&addr, proto, &args)
         })?;
-        let wire = WireSample::delta(&before, &hft_obs::global().snapshot());
+        let (serial, concurrent) = served.body;
         Ok(ComboResult {
             proto,
             serial,
             concurrent,
-            wire: Some(wire),
-            traces,
+            wire: Some(WireSample(hft_obs::registry::delta(
+                &before,
+                &hft_obs::global().snapshot(),
+            ))),
+            traces: served.traces,
         })
     };
 
@@ -779,7 +517,11 @@ fn run() -> Result<(), String> {
                 .map_err(|e| format!("bad --connect {spec:?}: {e}"))?
                 .next()
                 .ok_or(format!("--connect {spec:?} resolved to nothing"))?;
-            let (serial, concurrent, traces) = run_phases(&addr, args.proto, args.shutdown_server)?;
+            let (serial, concurrent) = replay.phases(&addr, args.proto, &args)?;
+            // Pull the slowest captured traces before (optionally)
+            // shutting the server down, so a TAIL ALERT is followed by
+            // the actual waterfalls behind the tail.
+            let traces = load::slowest_traces(&addr, args.shutdown_server)?;
             vec![ComboResult {
                 proto: args.proto,
                 serial,
@@ -811,124 +553,72 @@ fn run() -> Result<(), String> {
         );
     }
 
+    // Top-level serial/concurrent mirror the primary cell so existing
+    // consumers of BENCH_serve.json keep working; "runs" carries every
+    // measured protocol cell.
+    let wrong_total: u64 = combos.iter().map(ComboResult::wrong).sum();
+    let mut report = obj! {
+        "workload": obj! {"distinct_requests": replay.mix.len(), "seed": args.seed},
+        "proto": primary.proto.name(),
+        "serial": primary.serial_json(),
+        "concurrent": primary.concurrent_json(&args, wrong_total),
+        "speedup": primary.speedup(),
+        "runs": combos.iter().map(|c| c.json(&args)).collect::<Vec<_>>(),
+    };
+    if let Some(speedup) = matrix_speedup {
+        load::push(&mut report, "speedup_bin_vs_json", speedup);
+    }
+
     // Per-shard breakout of the primary cell's concurrent phase: where
     // does the tail live? The bucket with the widest p90-p50 gap is the
     // queueing culprit — a shard, or the broadcast fan-out.
-    let mut per_shard_json = String::new();
     if args.shards > 0 {
         let mut worst: Option<(String, f64)> = None;
-        let entries: Vec<String> = primary
+        let entries: Vec<Json> = primary
             .concurrent
             .by_bucket
             .iter()
             .enumerate()
             .map(|(b, shard)| {
                 let snap = shard.snapshot();
-                let label = bucket_label(b, args.shards);
-                let p50 = snap.percentile(0.50) as f64 / 1e6;
-                let p90 = snap.percentile(0.90) as f64 / 1e6;
-                let p99 = snap.percentile(0.99) as f64 / 1e6;
-                let p999 = snap.percentile(0.999) as f64 / 1e6;
+                let label = load::bucket_label(b, args.shards);
+                let (p50, p90) = (load::ms(&snap, 0.50), load::ms(&snap, 0.90));
+                let (p99, p999) = (load::ms(&snap, 0.99), load::ms(&snap, 0.999));
                 let max = snap.max as f64 / 1e6;
                 let gap = p90 - p50;
-                if shard.count() > 0 && worst.as_ref().is_none_or(|(_, g)| gap > *g) {
+                if snap.count > 0 && worst.as_ref().is_none_or(|(_, g)| gap > *g) {
                     worst = Some((label.clone(), gap));
                 }
                 println!(
                     "  {label:<10} {:>8} requests  p50 {p50:.3} ms  p90 {p90:.3} ms  \
                      p99 {p99:.3} ms  p999 {p999:.3} ms  max {max:.3} ms",
-                    shard.count(),
+                    snap.count,
                 );
                 tail_alert(&label, &snap);
-                format!(
-                    "{{\"label\": \"{label}\", \"requests\": {}, \"p50_ms\": {}, \"p90_ms\": {}, \
-                     \"p99_ms\": {}, \"p999_ms\": {}, \"max_ms\": {}}}",
-                    shard.count(),
-                    fmt(p50),
-                    fmt(p90),
-                    fmt(p99),
-                    fmt(p999),
-                    fmt(max),
-                )
+                obj! {
+                    "label": label,
+                    "requests": snap.count,
+                    "p50_ms": p50,
+                    "p90_ms": p90,
+                    "p99_ms": p99,
+                    "p999_ms": p999,
+                    "max_ms": max,
+                }
             })
             .collect();
         if let Some((label, gap)) = &worst {
             println!("  widest p90-p50 gap: {label} ({gap:.3} ms)");
         }
-        per_shard_json = format!(",\n\"per_shard\": [{}]", entries.join(", "));
+        load::push(&mut report, "per_shard", entries);
     }
-
-    let speedup = if primary.serial.rps() > 0.0 {
-        primary.concurrent.rps() / primary.serial.rps()
-    } else {
-        0.0
-    };
-    let wrong_total: u64 = combos
-        .iter()
-        .map(|c| c.serial.wrong + c.concurrent.wrong)
-        .sum();
-    let runs_json: Vec<String> = combos.iter().map(|c| c.json(&args)).collect();
-    let matrix_json = matrix_speedup
-        .map(|s| format!(",\n\"speedup_bin_vs_json\": {}", fmt(s)))
-        .unwrap_or_default();
-
-    // Top-level serial/concurrent mirror the primary cell so existing
-    // consumers of BENCH_serve.json keep working; "runs" carries every
-    // measured protocol cell.
-    let json = format!(
-        "{{\n\
-         \"workload\": {{\"distinct_requests\": {}, \"seed\": {}}},\n\
-         \"proto\": \"{}\",\n\
-         \"serial\": {{\"requests\": {}, \"seconds\": {}, \"rps\": {}, \"p50_ms\": {}, \
-         \"max_ms\": {}}},\n\
-         \"concurrent\": {{\"concurrency\": {}, \"window\": {}, \"requests\": {}, \"seconds\": {}, \
-         \"rps\": {}, \"p50_ms\": {}, \"p90_ms\": {}, \"p95_ms\": {}, \"p99_ms\": {}, \
-         \"p999_ms\": {}, \"max_ms\": {}, \"overloaded_retries\": {}, \"wrong_answers\": {}}},\n\
-         \"speedup\": {},\n\
-         \"runs\": [{}]{}{}\n}}\n",
-        mix.len(),
-        args.seed,
-        primary.proto.name(),
-        primary.serial.completed,
-        fmt(primary.serial.elapsed_s),
-        fmt(primary.serial.rps()),
-        fmt(primary.serial.percentile_ms(0.50)),
-        fmt(primary.serial.max_ms()),
-        args.concurrency,
-        args.window,
-        primary.concurrent.completed,
-        fmt(primary.concurrent.elapsed_s),
-        fmt(primary.concurrent.rps()),
-        fmt(primary.concurrent.percentile_ms(0.50)),
-        fmt(primary.concurrent.percentile_ms(0.90)),
-        fmt(primary.concurrent.percentile_ms(0.95)),
-        fmt(primary.concurrent.percentile_ms(0.99)),
-        fmt(primary.concurrent.percentile_ms(0.999)),
-        fmt(primary.concurrent.max_ms()),
-        primary.concurrent.overloaded_retries,
-        wrong_total,
-        fmt(speedup),
-        runs_json.join(",\n"),
-        matrix_json,
-        per_shard_json,
-    );
-    let path = args
-        .out
-        .unwrap_or_else(|| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json").into());
-    std::fs::write(&path, json).map_err(|e| format!("write {path}: {e}"))?;
-    println!("wrote {path}");
+    load::write_report("serve", args.out.as_deref(), report)?;
 
     if wrong_total > 0 {
         let detail = combos
             .iter()
-            .flat_map(|c| {
-                c.serial
-                    .first_mismatch
-                    .clone()
-                    .into_iter()
-                    .chain(c.concurrent.first_mismatch.clone())
+            .find_map(|c| {
+                (c.serial.first_mismatch.clone()).or_else(|| c.concurrent.first_mismatch.clone())
             })
-            .next()
             .unwrap_or_default();
         return Err(format!("byte mismatch against direct session:\n{detail}"));
     }

@@ -20,64 +20,16 @@
 //! reported per protocol so the JSON-vs-binary codec gap on the
 //! race-heavy mix is measured in the same run.
 
-use hft_bench::REPRO_SEED;
-use hft_corridor::{chicago_nj, generate};
+use hft_bench::load::{self, Flags};
+use hft_bench::{obj, REPRO_SEED};
 use hft_ingest::ShardedStore;
-use hft_obs::HistogramShard;
 use hft_serve::api::{Request, Response};
-use hft_serve::{Client, Proto, ServeConfig, Server, Service, ShardRouter};
+use hft_serve::{Proto, ServeConfig, Service, ShardRouter};
 use hft_time::Date;
 use hft_uls::shard::ShardStrategy;
-use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-struct Args {
-    seconds: f64,
-    shards: usize,
-    seed: u64,
-    out: Option<String>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut parsed = Args {
-        seconds: 2.0,
-        shards: 2,
-        seed: REPRO_SEED,
-        out: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut need = |name: &str| args.next().ok_or(format!("{name} needs a value"));
-        match a.as_str() {
-            "--seconds" => {
-                parsed.seconds = need("--seconds")?
-                    .parse()
-                    .map_err(|_| "bad --seconds".to_string())?
-            }
-            "--shards" => {
-                parsed.shards = need("--shards")?
-                    .parse()
-                    .map_err(|_| "bad --shards".to_string())?
-            }
-            "--seed" => {
-                parsed.seed = need("--seed")?
-                    .parse()
-                    .map_err(|_| "bad --seed".to_string())?
-            }
-            "--out" => parsed.out = Some(need("--out")?),
-            other => {
-                return Err(format!(
-                    "unknown argument {other:?}\nusage: raceload [--seconds S] [--shards N] \
-                     [--seed N] [--out PATH]"
-                ))
-            }
-        }
-    }
-    if parsed.shards == 0 {
-        return Err("--shards must be positive".into());
-    }
-    Ok(parsed)
-}
+const USAGE: &str = "usage: raceload [--seconds S] [--shards N] [--seed N] [--out PATH]";
 
 /// The race mix: every licensee races every corridor pair with the same
 /// (samples, seed), so the distinct Monte-Carlo population is small and
@@ -114,119 +66,19 @@ fn workload(licensees: &[String]) -> Vec<Request> {
     mix
 }
 
-fn connect_retry(addr: &SocketAddr, proto: Proto, patience: Duration) -> Result<Client, String> {
-    let deadline = Instant::now() + patience;
-    loop {
-        match Client::connect_with(addr, proto) {
-            Ok(client) => return Ok(client),
-            Err(e) => {
-                if Instant::now() >= deadline {
-                    return Err(format!("could not connect to {addr}: {e}"));
-                }
-                std::thread::sleep(Duration::from_millis(250));
-            }
-        }
-    }
-}
-
-#[derive(Default)]
-struct ProtoReport {
-    completed: u64,
-    overloaded_retries: u64,
-    wrong: u64,
-    first_mismatch: Option<String>,
-    latencies: HistogramShard,
-    elapsed_s: f64,
-}
-
-impl ProtoReport {
-    fn rps(&self) -> f64 {
-        if self.elapsed_s > 0.0 {
-            self.completed as f64 / self.elapsed_s
-        } else {
-            0.0
-        }
-    }
-
-    fn percentile_ms(&self, q: f64) -> f64 {
-        self.latencies.snapshot().percentile(q) as f64 / 1e6
-    }
-
-    fn max_ms(&self) -> f64 {
-        self.latencies.snapshot().max as f64 / 1e6
-    }
-}
-
-/// One serial client over one protocol: cycle the mix until the
-/// deadline, byte-comparing every decoded answer (re-encoded with the
-/// canonical JSON codec) against the in-process reference — the
-/// verification is wire-format independent, so a wrong answer cannot
-/// hide behind the binary codec.
-fn drive(
-    addr: &SocketAddr,
-    proto: Proto,
-    mix: &[Request],
-    expected: &[Vec<u8>],
-    seconds: f64,
-) -> Result<ProtoReport, String> {
-    let mut client = connect_retry(addr, proto, Duration::from_secs(180))?;
-    let mut report = ProtoReport::default();
-    let started = Instant::now();
-    let deadline = started + Duration::from_secs_f64(seconds);
-    let mut next = 0usize;
-    while Instant::now() < deadline {
-        let idx = next;
-        next = (next + 1) % mix.len();
-        let sent = Instant::now();
-        let response = client
-            .call(&mix[idx])
-            .map_err(|e| format!("raceload IO: {e}"))?;
-        if response == Response::Overloaded {
-            report.overloaded_retries += 1;
-            continue;
-        }
-        report.latencies.record(sent.elapsed().as_nanos() as u64);
-        report.completed += 1;
-        let got = response.encode();
-        if got != expected[idx] {
-            report.wrong += 1;
-            if report.first_mismatch.is_none() {
-                report.first_mismatch = Some(format!(
-                    "[{}] request {:?}\n  want {}\n  got  {}",
-                    proto.name(),
-                    mix[idx],
-                    String::from_utf8_lossy(&expected[idx]),
-                    String::from_utf8_lossy(&got),
-                ));
-            }
-        }
-    }
-    report.elapsed_s = started.elapsed().as_secs_f64();
-    Ok(report)
-}
-
-fn fmt(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".to_string()
-    }
-}
-
 fn main() -> std::process::ExitCode {
-    match run() {
-        Ok(()) => std::process::ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::ExitCode::FAILURE
-        }
-    }
+    load::exit(run())
 }
 
 fn run() -> Result<(), String> {
-    let args = parse_args()?;
-    eprintln!("generating corpus (seed {})...", args.seed);
-    let eco = generate(&chicago_nj(), args.seed);
+    let flags = Flags::parse(USAGE)?;
+    let seconds = flags.get("--seconds", 2.0)?;
+    let shards = flags.get("--shards", 2)?;
+    let seed = flags.get("--seed", REPRO_SEED)?;
+    if shards == 0 {
+        return Err("--shards must be positive".into());
+    }
+    let eco = load::corpus(seed);
     let mut licensees = eco.connected_2020.clone();
     licensees.sort();
     licensees.truncate(3);
@@ -234,6 +86,7 @@ fn run() -> Result<(), String> {
         return Err("corpus has no connected 2020 licensees".into());
     }
     let mix = workload(&licensees);
+    let distinct = &mix[..mix.len() / 4];
 
     // Ground truth: the same requests answered by a direct in-process
     // single-corpus service. Computing these warms the *reference*
@@ -243,60 +96,42 @@ fn run() -> Result<(), String> {
     let reference = Service::new(&eco.db);
     let expected: Vec<Vec<u8>> = mix.iter().map(|r| reference.handle(r).encode()).collect();
 
-    let fleet = ShardedStore::seeded(&eco.db, args.shards, ShardStrategy::LicenseeHash, None);
-    let router = ShardRouter::over(&fleet);
-    let server = Server::bind(ServeConfig {
-        addr: "127.0.0.1:0".into(),
+    let fleet = ShardedStore::seeded(&eco.db, shards, ShardStrategy::LicenseeHash, None);
+    let config = ServeConfig {
         workers: 8,
         queue_depth: 64,
         ..ServeConfig::default()
-    })
-    .map_err(|e| e.to_string())?;
-    let addr = server.local_addr().map_err(|e| e.to_string())?;
-    eprintln!(
-        "fleet n={} (licensee-hash): serving {} distinct race queries on {addr}...",
-        args.shards,
-        mix.len() / 4,
-    );
-
+    };
     let hit_name = hft_obs::registry::labeled("race.mc_cache", "outcome", "hit");
     let miss_name = hft_obs::registry::labeled("race.mc_cache", "outcome", "miss");
     let before = hft_obs::global().snapshot();
-    let reports = std::thread::scope(|scope| {
-        let server_handle = scope.spawn(|| server.run_with(&router));
-        let phases = || -> Result<Vec<(Proto, ProtoReport)>, String> {
-            // Warm pass: every distinct request once, so the timed
-            // windows measure the cached steady state on a warm fleet.
-            let mut warm = connect_retry(&addr, Proto::Json, Duration::from_secs(180))?;
-            for request in &mix[..mix.len() / 4] {
-                loop {
-                    let response = warm.call(request).map_err(|e| format!("warmup: {e}"))?;
-                    if response != Response::Overloaded {
-                        break;
-                    }
-                }
-            }
-            let mut reports = Vec::new();
-            for proto in [Proto::Json, Proto::Binary] {
-                eprintln!("[{}] racing for {:.1}s...", proto.name(), args.seconds);
-                reports.push((proto, drive(&addr, proto, &mix, &expected, args.seconds)?));
-            }
-            Ok(reports)
-        };
-        let reports = phases();
-        let mut c = connect_retry(&addr, Proto::Json, Duration::from_secs(30))?;
-        let ack = c.call(&Request::Shutdown).map_err(|e| e.to_string())?;
-        if ack != Response::ShuttingDown {
-            return Err(format!("shutdown not acknowledged: {ack:?}"));
+    let served = load::self_host(config, &ShardRouter::over(&fleet), &[], |addr| {
+        eprintln!(
+            "fleet n={shards} (licensee-hash): serving {} distinct race queries on {addr}...",
+            distinct.len(),
+        );
+        // Warm pass: every distinct request once, so the timed windows
+        // measure the cached steady state on a warm fleet.
+        let mut warm = load::connect(&addr, Proto::Json)?;
+        for request in distinct {
+            while warm.call(request).map_err(|e| format!("warmup: {e}"))? == Response::Overloaded {}
         }
-        server_handle
-            .join()
-            .expect("server thread")
-            .map_err(|e| e.to_string())?;
-        reports
+        // One serial client per protocol, byte-comparing every decoded
+        // answer (re-encoded with the canonical JSON codec) against the
+        // in-process reference, so a wrong answer cannot hide behind the
+        // binary codec.
+        let mut reports = Vec::new();
+        for proto in [Proto::Json, Proto::Binary] {
+            eprintln!("[{}] racing for {seconds:.1}s...", proto.name());
+            let mut client = load::connect(&addr, proto)?;
+            let deadline = Instant::now() + Duration::from_secs_f64(seconds);
+            let tally = load::drive(&mut client, &mix, &expected, &[], 0, 1, deadline)?;
+            reports.push((proto, tally));
+        }
+        Ok(reports)
     })?;
-    let after = hft_obs::global().snapshot();
-    let delta = hft_obs::registry::delta(&before, &after);
+    let reports = served.body;
+    let delta = hft_obs::registry::delta(&before, &hft_obs::global().snapshot());
     let (hits, misses) = (delta.counter(&hit_name), delta.counter(&miss_name));
     let mc_total = hits + misses;
     let hit_rate = if mc_total > 0 {
@@ -325,51 +160,37 @@ fn run() -> Result<(), String> {
         hit_rate * 100.0
     );
 
-    let runs: Vec<String> = reports
+    let runs: Vec<_> = reports
         .iter()
         .map(|(proto, r)| {
-            format!(
-                "{{\"proto\": \"{}\", \"requests\": {}, \"seconds\": {}, \"rps\": {}, \
-                 \"p50_ms\": {}, \"p90_ms\": {}, \"p99_ms\": {}, \"max_ms\": {}, \
-                 \"overloaded_retries\": {}, \"wrong_answers\": {}}}",
-                proto.name(),
-                r.completed,
-                fmt(r.elapsed_s),
-                fmt(r.rps()),
-                fmt(r.percentile_ms(0.50)),
-                fmt(r.percentile_ms(0.90)),
-                fmt(r.percentile_ms(0.99)),
-                fmt(r.max_ms()),
-                r.overloaded_retries,
-                r.wrong,
-            )
+            obj! {
+                "proto": proto.name(),
+                "requests": r.completed,
+                "seconds": r.elapsed_s,
+                "rps": r.rps(),
+                "p50_ms": r.percentile_ms(0.50),
+                "p90_ms": r.percentile_ms(0.90),
+                "p99_ms": r.percentile_ms(0.99),
+                "max_ms": r.max_ms(),
+                "overloaded_retries": r.overloaded_retries,
+                "wrong_answers": r.wrong,
+            }
         })
         .collect();
-    let json = format!(
-        "{{\n\"workload\": {{\"distinct_requests\": {}, \"pairs\": 3, \"licensees\": {}, \
-         \"seed\": {}}},\n\"shards\": {},\n\"runs\": [\n  {}\n],\n\"mc_cache\": \
-         {{\"hits\": {}, \"misses\": {}, \"hit_rate\": {}}}\n}}\n",
-        mix.len() / 4,
-        licensees.len(),
-        args.seed,
-        args.shards,
-        runs.join(",\n  "),
-        hits,
-        misses,
-        fmt(hit_rate),
-    );
-    let path = args
-        .out
-        .unwrap_or_else(|| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_race.json").into());
-    std::fs::write(&path, json).map_err(|e| format!("write {path}: {e}"))?;
-    println!("wrote {path}");
+    let report = obj! {
+        "workload": obj! {
+            "distinct_requests": distinct.len(),
+            "pairs": 3usize,
+            "licensees": licensees.len(),
+            "seed": seed,
+        },
+        "shards": shards,
+        "runs": runs,
+        "mc_cache": obj! {"hits": hits, "misses": misses, "hit_rate": hit_rate},
+    };
+    load::write_report("race", flags.string("--out").as_deref(), report)?;
 
-    let wrong_total: u64 = reports.iter().map(|(_, r)| r.wrong).sum();
-    if wrong_total > 0 {
-        let detail = reports
-            .iter()
-            .find_map(|(_, r)| r.first_mismatch.clone())
-            .unwrap_or_default();
+    if let Some(detail) = reports.iter().find_map(|(_, r)| r.first_mismatch.clone()) {
         return Err(format!(
             "race answers through the shard router diverge from the single-corpus \
              reference:\n{detail}"

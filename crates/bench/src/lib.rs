@@ -1,8 +1,13 @@
 //! # hft-bench
 //!
-//! Benchmark harness for the workspace. The crate itself is thin: the
-//! interesting contents are
+//! Benchmark harness for the workspace. The interesting contents are
 //!
+//! * [`load`] — the harness the load binaries share: flag parsing,
+//!   byte-verifying tallies, per-generation references, the
+//!   serve-under-ingest loop, self-hosting, and the stamped
+//!   `BENCH_*.json` writer every bench report goes through;
+//! * `src/bin/{loadgen,fleetload,ingestload,raceload,httpload}.rs` —
+//!   the load binaries, one per serving surface;
 //! * `benches/paper.rs` — one Criterion benchmark per table and figure
 //!   of the paper (E1–E10 in `DESIGN.md`), timing the full analysis
 //!   pipeline behind each artifact on the pre-generated corpus;
@@ -14,6 +19,8 @@
 //!   artifacts consumed by `EXPERIMENTS.md`.
 
 #![forbid(unsafe_code)]
+
+pub mod load;
 
 /// The ecosystem seed used for all published numbers.
 pub const REPRO_SEED: u64 = 2020;

@@ -34,7 +34,7 @@
 use crate::api::{Request, Response};
 use crate::live::LiveService;
 use crate::service::{metrics_json, traces_response, Handler, Service};
-use crate::stats::ServeStats;
+use crate::stats::{ServeSnapshot, ServeStats};
 use hft_core::session::StatsSnapshot;
 use hft_ingest::ShardedStore;
 use hft_uls::shard::{shard_of_licensee, ShardStrategy};
@@ -188,17 +188,12 @@ impl ShardRouter {
         response
     }
 
-    /// The fleet-wide `stats` answer: transport counters from the
-    /// router, single-flight/swap counters summed over shard workers,
-    /// session cache counters summed over current shard engines.
+    /// The fleet-wide `stats` answer: [`Handler::serve_snapshot`]'s
+    /// counters plus session cache counters summed over current shard
+    /// engines.
     fn merged_stats(&self) -> Response {
-        let mut serve = self.stats.snapshot();
         let mut session = StatsSnapshot::default();
         for shard in &self.shards {
-            let s = shard.stats().snapshot();
-            serve.flights_led += s.flights_led;
-            serve.flights_coalesced += s.flights_coalesced;
-            serve.generation_swaps += s.generation_swaps;
             let c = shard.engine().session().stats();
             session.network_hits += c.network_hits;
             session.reconstructions += c.reconstructions;
@@ -209,6 +204,8 @@ impl ShardRouter {
             session.graph_hits += c.graph_hits;
             session.graph_misses += c.graph_misses;
         }
+        // Counted after the engine reads above, so swaps they made show.
+        let serve = self.serve_snapshot();
         Response::Stats { serve, session }
     }
 }
@@ -220,6 +217,20 @@ impl Handler for ShardRouter {
 
     fn serve_stats(&self) -> &ServeStats {
         &self.stats
+    }
+
+    /// Transport counters from the router, single-flight and swap
+    /// counters summed over the shard workers' own stats. Reads no
+    /// engine, so it never triggers a generation swap.
+    fn serve_snapshot(&self) -> ServeSnapshot {
+        let mut serve = self.stats.snapshot();
+        for shard in &self.shards {
+            let s = shard.stats().snapshot();
+            serve.flights_led += s.flights_led;
+            serve.flights_coalesced += s.flights_coalesced;
+            serve.generation_swaps += s.generation_swaps;
+        }
+        serve
     }
 }
 

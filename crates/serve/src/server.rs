@@ -95,7 +95,7 @@ impl Server {
             queue.close();
             r
         })?;
-        Ok(service.serve_stats().snapshot())
+        Ok(service.serve_snapshot())
     }
 }
 

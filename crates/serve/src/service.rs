@@ -8,7 +8,7 @@
 
 use crate::api::{Request, Response, SweepEntry};
 use crate::singleflight::Group;
-use crate::stats::ServeStats;
+use crate::stats::{ServeSnapshot, ServeStats};
 use hft_core::corridor::{DataCenter, CME, EQUINIX_NY4, NASDAQ, NYSE};
 use hft_core::session::AnalysisSession;
 use hft_core::weather;
@@ -37,6 +37,13 @@ pub trait Handler: Sync {
 
     /// The serving-layer counters this handler reports into.
     fn serve_stats(&self) -> &ServeStats;
+
+    /// The counters a `stats` answer and the shutdown dump report: by
+    /// default [`Handler::serve_stats`], but a handler whose work is
+    /// counted elsewhere (a fleet's shard workers) folds that in.
+    fn serve_snapshot(&self) -> ServeSnapshot {
+        self.serve_stats().snapshot()
+    }
 }
 
 /// The query engine: one shared [`AnalysisSession`] plus the
