@@ -3,14 +3,19 @@
 //! (every network reconstructed from scratch) and once against a shared
 //! warmed session (everything answered from the epoch cache). Alongside
 //! it, the cost of generating the calibrated corpus every session sits
-//! on. Results are printed and written to `BENCH_session.json` at the
-//! workspace root so the speedup is tracked alongside the code.
+//! on, and of the §5 weather Monte Carlo no session cache holds. Results
+//! are printed and written to `BENCH_session.json` at the workspace root
+//! so the speedup is tracked alongside the code.
 
 use criterion::{black_box, Criterion};
 use hft_bench::load;
 use hft_bench::{obj, REPRO_SEED};
+use hft_core::corridor::{DataCenter, CME, EQUINIX_NY4, NASDAQ, NYSE};
+use hft_core::AnalysisSession;
 use hft_corridor::{chicago_nj, generate, GeneratedEcosystem};
-use hftnetview::report;
+use hft_radio::WeatherSampler;
+use hft_time::Date;
+use hftnetview::{report, weather};
 use std::sync::OnceLock;
 
 fn eco() -> &'static GeneratedEcosystem {
@@ -64,11 +69,49 @@ fn bench_warm(c: &mut Criterion) {
     g.finish();
 }
 
+/// The Monte Carlos a compute-mc server runs cold: each licensee's
+/// 20,000-state stormy-season run on its race pair, over a session whose
+/// networks and routing graphs are already built, so only the Monte
+/// Carlo is timed.
+fn bench_weather_mc(c: &mut Criterion) {
+    let eco = eco();
+    let session = AnalysisSession::new(&eco.db);
+    let date = Date::new(2020, 4, 1).expect("valid date");
+    let runs: [(&str, DataCenter); 3] = [
+        ("Pierce Broadband", EQUINIX_NY4),
+        ("AQ2AT", NYSE),
+        ("GTT Americas", NASDAQ),
+    ];
+    let inputs: Vec<_> = runs
+        .iter()
+        .map(|(licensee, to)| {
+            let net = session.network(licensee, date);
+            let rg = session.routing_graph(licensee, date, &CME, to);
+            (net, rg, to)
+        })
+        .collect();
+    let sampler = WeatherSampler::stormy_season();
+    let mut g = c.benchmark_group("session");
+    g.sample_size(load::sample_size(10));
+    g.bench_function("weather_mc_cold_20k", |b| {
+        b.iter(|| {
+            for (net, rg, to) in &inputs {
+                black_box(weather::conditional_latency_on(
+                    rg, net, &CME, to, &sampler, 20_000, 4242,
+                ))
+                .expect("every compute-mc licensee has a route");
+            }
+        })
+    });
+    g.finish();
+}
+
 fn main() {
     let mut criterion = Criterion::default().configure_from_args();
     bench_generate(&mut criterion);
     bench_cold(&mut criterion);
     bench_warm(&mut criterion);
+    bench_weather_mc(&mut criterion);
 
     let results = criterion.results();
     let mut entries: Vec<_> = results

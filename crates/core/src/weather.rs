@@ -11,8 +11,8 @@
 use crate::corridor::DataCenter;
 use crate::route::RoutingGraph;
 use crate::Network;
-use hft_geodesy::gc_initial_bearing_deg;
-use hft_radio::{LinkOutageModel, WeatherSampler};
+use hft_netgraph::DijkstraWorkspace;
+use hft_radio::{LinkOutageModel, RainScreen, WeatherEvent, WeatherSampler};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -82,6 +82,9 @@ pub fn conditional_latency_on(
 /// [`conditional_latency_on`] with the weather-state RNG threaded in by
 /// the caller, for composing the MC into a larger deterministic
 /// experiment (one seeded stream shared across several runs).
+///
+/// # Panics
+/// When `samples` is zero and the data centers are connected.
 pub fn conditional_latency_rng<R: Rng + ?Sized>(
     rg: &RoutingGraph,
     network: &Network,
@@ -91,77 +94,205 @@ pub fn conditional_latency_rng<R: Rng + ?Sized>(
     samples: usize,
     rng: &mut R,
 ) -> Option<WeatherOutcome> {
-    let clear = rg.route_filtered(network, |_| true)?;
-
-    // Pre-compute each link's outage model and corridor position
-    // (fraction of the way from `a` to `b`, by projection onto the
-    // corridor axis).
-    let a_pos = a.position();
-    let b_pos = b.position();
-    let corridor_len = a_pos.geodesic_distance_m(&b_pos);
-    let corridor_bearing = gc_initial_bearing_deg(&a_pos, &b_pos).to_radians();
-    let links: Vec<(hft_netgraph::EdgeId, LinkOutageModel, f64)> = network
-        .graph
-        .edges()
-        .map(|(e, u, v, link)| {
-            let mid_u = network.graph.node(u).position;
-            let mid_v = network.graph.node(v).position;
-            // Project the link midpoint onto the corridor axis.
-            let d = a_pos
-                .geodesic_distance_m(&mid_u)
-                .min(a_pos.geodesic_distance_m(&mid_v));
-            let x = (d / corridor_len).clamp(0.0, 1.0);
-            let freq = link
-                .frequencies_ghz
-                .iter()
-                .copied()
-                .fold(f64::INFINITY, f64::min);
-            let freq = if freq.is_finite() { freq } else { 11.0 };
-            (e, LinkOutageModel::typical(link.length_m / 1000.0, freq), x)
-        })
-        .collect();
-    let _ = corridor_bearing;
-
-    let mut latencies: Vec<f64> = Vec::with_capacity(samples);
-    let mut connected = 0usize;
+    let mut kernel = Kernel::new(rg, network, a, b)?;
+    assert!(samples > 0, "a Monte Carlo needs at least one state");
+    let clear_ms = kernel.clear_ms;
+    // Only rerouted latencies are kept; the clear-sky majority and the
+    // disconnected states are counts.
+    let mut rerouted = Vec::new();
+    let (mut clear, mut disconnected) = (0usize, 0usize);
     for _ in 0..samples {
-        let state = sampler.sample(rng);
-        let latency = match state {
-            None => Some(clear.latency_ms),
-            Some(event) => {
-                let mut down = std::collections::HashSet::new();
-                for (e, model, x) in &links {
-                    let rain = event.rain_at(*x);
-                    if rain > 0.0 && !model.up_under_rain(rain) {
-                        down.insert(*e);
-                    }
-                }
-                if down.is_empty() {
-                    Some(clear.latency_ms)
-                } else {
-                    rg.route_filtered(network, |e| !down.contains(&e))
-                        .map(|r| r.latency_ms)
-                }
-            }
-        };
-        match latency {
-            Some(ms) => {
-                connected += 1;
-                latencies.push(ms);
-            }
-            None => latencies.push(f64::INFINITY),
+        match sampler
+            .sample(rng)
+            .map_or(Latency::Clear, |event| kernel.latency(&event))
+        {
+            Latency::Clear => clear += 1,
+            Latency::Rerouted(ms) => rerouted.push(ms),
+            Latency::Disconnected => disconnected += 1,
         }
     }
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("INF sorts fine"));
-    let q = |p: f64| latencies[((p * samples as f64) as usize).min(samples - 1)];
+    rerouted.sort_by(f64::total_cmp);
+    // Index the sorted vector of every state's latency without building
+    // it: the rerouted latencies below the clear one, the clear block,
+    // the remaining rerouted latencies, then the disconnected states at
+    // +∞.
+    let below = rerouted.partition_point(|&ms| ms < clear_ms);
+    let sorted = |i: usize| {
+        if i < below {
+            rerouted[i]
+        } else if i < below + clear {
+            clear_ms
+        } else {
+            rerouted.get(i - clear).copied().unwrap_or(f64::INFINITY)
+        }
+    };
+    let q = |p: f64| sorted(((p * samples as f64) as usize).min(samples - 1));
     Some(WeatherOutcome {
-        clear_ms: clear.latency_ms,
+        clear_ms,
         p50_ms: q(0.50),
         p95_ms: q(0.95),
         p99_ms: q(0.99),
-        availability: connected as f64 / samples as f64,
+        availability: (samples - disconnected) as f64 / samples as f64,
         samples,
     })
+}
+
+/// How one weather state leaves a network's route.
+enum Latency {
+    /// No failed link is on the clear-sky route, so its latency stands.
+    Clear,
+    /// The clear-sky route broke and the best detour takes this long, ms.
+    Rerouted(f64),
+    /// No route survives.
+    Disconnected,
+}
+
+/// One network's Monte Carlo tables, built once per call: its microwave
+/// links sorted by corridor position with their rain screens, the routing
+/// graph's edge costs, and the failure marks and search buffers every
+/// weather state reuses.
+struct Kernel<'a> {
+    rg: &'a RoutingGraph,
+    clear_ms: f64,
+    /// Sorted by `x`, ties by edge.
+    links: Vec<Link>,
+    /// Latency of each routing-graph edge, seconds.
+    cost_s: Vec<f64>,
+    /// Failed routing-graph edges in the current state.
+    down: Vec<bool>,
+    /// The edges `down` marks, to clear them after the state.
+    failed: Vec<usize>,
+    search: DijkstraWorkspace,
+}
+
+/// A microwave link's row in a [`Kernel`].
+struct Link {
+    /// Position along the corridor as a fraction `0..=1` of the way from
+    /// `a` to `b`: the nearer endpoint's distance from `a`.
+    x: f64,
+    /// Routing-graph edge index.
+    edge: usize,
+    /// The link's radio at its length and lowest frequency.
+    model: LinkOutageModel,
+    /// `model`'s outage decision, built when rain first reaches the link:
+    /// a sweep's one-state runs never pay for the links they skip.
+    screen: Option<RainScreen>,
+    /// Whether the clear-sky route uses the link.
+    on_clear: bool,
+}
+
+impl<'a> Kernel<'a> {
+    /// The tables for `network` over `rg`, or `None` when the data
+    /// centers are not connected.
+    fn new(
+        rg: &'a RoutingGraph,
+        network: &Network,
+        a: &DataCenter,
+        b: &DataCenter,
+    ) -> Option<Kernel<'a>> {
+        let clear = rg.route_filtered(network, |_| true)?;
+        let mut on_clear = vec![false; network.graph.edge_count()];
+        for e in &clear.mw_edges {
+            on_clear[e.index()] = true;
+        }
+        let a_pos = a.position();
+        let corridor_len = a_pos.geodesic_distance_m(&b.position());
+        let mut links: Vec<Link> = rg
+            .graph
+            .edges()
+            .filter_map(|(edge, _, _, re)| {
+                let mw = re.mw_edge?;
+                let (u, v) = network.graph.endpoints(mw);
+                let d = a_pos
+                    .geodesic_distance_m(&network.graph.node(u).position)
+                    .min(a_pos.geodesic_distance_m(&network.graph.node(v).position));
+                let x = (d / corridor_len).clamp(0.0, 1.0);
+                // A zero-length corridor puts a link at 0/0: no rain falls
+                // at a NaN position, and the sorted cull needs ordered ones.
+                if x.is_nan() {
+                    return None;
+                }
+                let link = network.graph.edge(mw);
+                let freq = link
+                    .frequencies_ghz
+                    .iter()
+                    .copied()
+                    .fold(f64::INFINITY, f64::min);
+                let freq = if freq.is_finite() { freq } else { 11.0 };
+                Some(Link {
+                    x,
+                    edge: edge.index(),
+                    model: LinkOutageModel::typical(link.length_m / 1000.0, freq),
+                    screen: None,
+                    on_clear: on_clear[mw.index()],
+                })
+            })
+            .collect();
+        links.sort_by(|p, q| p.x.total_cmp(&q.x).then(p.edge.cmp(&q.edge)));
+        Some(Kernel {
+            rg,
+            clear_ms: clear.latency_ms,
+            links,
+            cost_s: rg.graph.edges().map(|(.., re)| re.latency_s()).collect(),
+            down: vec![false; rg.graph.edge_count()],
+            failed: Vec::new(),
+            search: DijkstraWorkspace::new(),
+        })
+    }
+
+    /// The route's latency in weather state `event`: the same answer as
+    /// re-solving the route without every link whose rain attenuation
+    /// exceeds its fade margin.
+    ///
+    /// Only links inside the rain cell are visited, and `rain_at` still
+    /// decides each one. When no failed link is on the clear-sky route
+    /// its latency stands, exactly: rounded addition is monotone, so
+    /// Dijkstra's target label is the least rounded path sum over the
+    /// graph. Removing edges cannot lower that least sum, and the
+    /// surviving clear route still attains it. Otherwise the search stops
+    /// once the target settles, a truncation of the identical run.
+    fn latency(&mut self, event: &WeatherEvent) -> Latency {
+        // A position below `center − half_width` as rounded is below it
+        // exactly, so |x − center| rounds to at least `half_width` and
+        // `rain_at` is zero there; likewise above `center + half_width`.
+        let lo = event.center - event.half_width;
+        let hi = event.center + event.half_width;
+        let start = self.links.partition_point(|l| l.x < lo);
+        let end = self.links.partition_point(|l| l.x <= hi).max(start);
+        let mut clear_broken = false;
+        for link in &mut self.links[start..end] {
+            let rain = event.rain_at(link.x);
+            if rain > 0.0
+                && !link
+                    .screen
+                    .get_or_insert_with(|| link.model.rain_screen())
+                    .up_under_rain(rain)
+            {
+                self.down[link.edge] = true;
+                self.failed.push(link.edge);
+                clear_broken |= link.on_clear;
+            }
+        }
+        let latency = if clear_broken {
+            let (down, cost_s) = (&self.down, &self.cost_s);
+            match self.search.distance(
+                &self.rg.graph,
+                self.rg.source,
+                self.rg.target,
+                |e, _| cost_s[e.index()],
+                |e| !down[e.index()],
+            ) {
+                Some(s) => Latency::Rerouted(s * 1e3),
+                None => Latency::Disconnected,
+            }
+        } else {
+            Latency::Clear
+        };
+        for e in self.failed.drain(..) {
+            self.down[e] = false;
+        }
+        latency
+    }
 }
 
 /// The §5 closing thought, quantified: "The most competitive trading
@@ -194,71 +325,28 @@ pub fn portfolio_latency_rng<R: Rng + ?Sized>(
     if networks.is_empty() {
         return None;
     }
-    struct Member {
-        rg: RoutingGraph,
-        clear_ms: f64,
-        links: Vec<(hft_netgraph::EdgeId, LinkOutageModel, f64)>,
-    }
-    let a_pos = a.position();
-    let b_pos = b.position();
-    let corridor_len = a_pos.geodesic_distance_m(&b_pos);
-    let mut members = Vec::new();
-    for net in networks {
-        let rg = RoutingGraph::build(net, a, b);
-        let clear = rg.route_filtered(net, |_| true)?;
-        let links = net
-            .graph
-            .edges()
-            .map(|(e, u, v, link)| {
-                let d = a_pos
-                    .geodesic_distance_m(&net.graph.node(u).position)
-                    .min(a_pos.geodesic_distance_m(&net.graph.node(v).position));
-                let x = (d / corridor_len).clamp(0.0, 1.0);
-                let freq = link
-                    .frequencies_ghz
-                    .iter()
-                    .copied()
-                    .fold(f64::INFINITY, f64::min);
-                let freq = if freq.is_finite() { freq } else { 11.0 };
-                (e, LinkOutageModel::typical(link.length_m / 1000.0, freq), x)
-            })
-            .collect();
-        members.push(Member {
-            rg,
-            clear_ms: clear.latency_ms,
-            links,
-        });
-    }
+    let graphs: Vec<RoutingGraph> = networks
+        .iter()
+        .map(|net| RoutingGraph::build(net, a, b))
+        .collect();
+    let mut members = graphs
+        .iter()
+        .zip(networks)
+        .map(|(rg, net)| Kernel::new(rg, net, a, b))
+        .collect::<Option<Vec<_>>>()?;
 
     let mut latencies = Vec::with_capacity(samples);
     let mut connected = 0usize;
     for _ in 0..samples {
         let state = sampler.sample(rng);
         let mut best = f64::INFINITY;
-        for (net, m) in networks.iter().zip(&members) {
-            let ms = match &state {
-                None => Some(m.clear_ms),
-                Some(event) => {
-                    let down: std::collections::HashSet<_> = m
-                        .links
-                        .iter()
-                        .filter(|(_, model, x)| {
-                            let rain = event.rain_at(*x);
-                            rain > 0.0 && !model.up_under_rain(rain)
-                        })
-                        .map(|(e, _, _)| *e)
-                        .collect();
-                    if down.is_empty() {
-                        Some(m.clear_ms)
-                    } else {
-                        m.rg.route_filtered(net, |e| !down.contains(&e))
-                            .map(|r| r.latency_ms)
-                    }
-                }
+        for m in &mut members {
+            let ms = match state.as_ref().map_or(Latency::Clear, |e| m.latency(e)) {
+                Latency::Clear => m.clear_ms,
+                Latency::Rerouted(ms) => ms,
+                Latency::Disconnected => continue,
             };
-            if let Some(ms) = ms {
-                best = best.min(ms);
-            }
+            best = best.min(ms);
         }
         if best.is_finite() {
             connected += 1;

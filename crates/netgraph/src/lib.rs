@@ -7,7 +7,8 @@
 //! * an undirected multigraph with typed node/edge payloads ([`Graph`]);
 //! * Dijkstra single-source shortest paths with arbitrary non-negative
 //!   edge costs and edge filtering ([`dijkstra`]) — heterogeneous speeds
-//!   of light become edge costs;
+//!   of light become edge costs — and the same search stopped at one
+//!   target on reusable buffers ([`DijkstraWorkspace`]);
 //! * Yen's algorithm for k-shortest loop-free paths ([`yen_k_shortest`]);
 //! * enumeration of *all* loop-free paths within a cost bound
 //!   ([`bounded_paths`]), pruned by reverse-Dijkstra potentials — this is
@@ -44,5 +45,5 @@ pub use connectivity::{bridges, connected_components, is_connected_between};
 pub use disjoint::{disjoint_shortest_pair, DisjointPair};
 pub use graph::{EdgeId, Graph, NodeId};
 pub use paths::{bounded_paths, BoundedPathsConfig, PathSet};
-pub use shortest::{dijkstra, ShortestPaths};
+pub use shortest::{dijkstra, DijkstraWorkspace, ShortestPaths};
 pub use yen::{yen_k_shortest, CostedPath};

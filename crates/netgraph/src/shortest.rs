@@ -5,6 +5,7 @@ use core::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Min-heap entry; `BinaryHeap` is a max-heap so ordering is reversed.
+#[derive(Debug)]
 struct HeapEntry {
     dist: f64,
     node: NodeId,
@@ -105,43 +106,105 @@ impl ShortestPaths {
 pub fn dijkstra<N, E>(
     graph: &Graph<N, E>,
     source: NodeId,
-    mut cost: impl FnMut(EdgeId, &E) -> f64,
-    mut filter: impl FnMut(EdgeId) -> bool,
+    cost: impl FnMut(EdgeId, &E) -> f64,
+    filter: impl FnMut(EdgeId) -> bool,
 ) -> ShortestPaths {
-    let n = graph.node_count();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut prev: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
-    let mut settled = vec![false; n];
-    let mut heap = BinaryHeap::new();
+    let mut search = DijkstraWorkspace::new();
+    search.grow(graph, source, None, cost, filter);
+    ShortestPaths {
+        source,
+        dist: search.dist,
+        prev: search.prev,
+    }
+}
 
-    dist[source.index()] = 0.0;
-    heap.push(HeapEntry {
-        dist: 0.0,
-        node: source,
-    });
+/// The buffers of one Dijkstra run, kept between runs so a caller that
+/// probes one graph many times (a Monte Carlo over link failures)
+/// allocates them once. [`dijkstra`] is the same search run to
+/// completion on a fresh workspace.
+#[derive(Debug, Default)]
+pub struct DijkstraWorkspace {
+    dist: Vec<f64>,
+    prev: Vec<Option<(NodeId, EdgeId)>>,
+    settled: Vec<bool>,
+    heap: BinaryHeap<HeapEntry>,
+}
 
-    while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
-        if settled[u.index()] {
-            continue;
-        }
-        settled[u.index()] = true;
-        for (e, v) in graph.neighbors(u) {
-            if settled[v.index()] || !filter(e) {
+impl DijkstraWorkspace {
+    /// An empty workspace; buffers grow on first use.
+    pub fn new() -> DijkstraWorkspace {
+        DijkstraWorkspace::default()
+    }
+
+    /// Shortest distance from `source` to `target` over edges passing
+    /// `filter`, or `None` if unreachable: bit for bit
+    /// `dijkstra(graph, source, cost, filter).distance(target)`.
+    ///
+    /// The search is the identical run stopped when `target` settles. A
+    /// settled label never changes again, so stopping early truncates
+    /// the run without altering the answer.
+    pub fn distance<N, E>(
+        &mut self,
+        graph: &Graph<N, E>,
+        source: NodeId,
+        target: NodeId,
+        cost: impl FnMut(EdgeId, &E) -> f64,
+        filter: impl FnMut(EdgeId) -> bool,
+    ) -> Option<f64> {
+        self.grow(graph, source, Some(target), cost, filter);
+        let d = self.dist[target.index()];
+        d.is_finite().then_some(d)
+    }
+
+    /// The one Dijkstra loop: grow the shortest-path tree from `source`
+    /// until `stop` settles, or until every reachable node has.
+    fn grow<N, E>(
+        &mut self,
+        graph: &Graph<N, E>,
+        source: NodeId,
+        stop: Option<NodeId>,
+        mut cost: impl FnMut(EdgeId, &E) -> f64,
+        mut filter: impl FnMut(EdgeId) -> bool,
+    ) {
+        let n = graph.node_count();
+        self.dist.clear();
+        self.dist.resize(n, f64::INFINITY);
+        self.prev.clear();
+        self.prev.resize(n, None);
+        self.settled.clear();
+        self.settled.resize(n, false);
+        self.heap.clear();
+
+        self.dist[source.index()] = 0.0;
+        self.heap.push(HeapEntry {
+            dist: 0.0,
+            node: source,
+        });
+
+        while let Some(HeapEntry { dist: d, node: u }) = self.heap.pop() {
+            if self.settled[u.index()] {
                 continue;
             }
-            let w = cost(e, graph.edge(e));
-            debug_assert!(w >= 0.0 && !w.is_nan(), "negative/NaN edge cost on {e}");
-            let w = if w.is_nan() { 0.0 } else { w.max(0.0) };
-            let nd = d + w;
-            if nd < dist[v.index()] {
-                dist[v.index()] = nd;
-                prev[v.index()] = Some((u, e));
-                heap.push(HeapEntry { dist: nd, node: v });
+            self.settled[u.index()] = true;
+            if stop == Some(u) {
+                return;
+            }
+            for (e, v) in graph.neighbors(u) {
+                if self.settled[v.index()] || !filter(e) {
+                    continue;
+                }
+                let w = cost(e, graph.edge(e));
+                debug_assert!(w >= 0.0 && !w.is_nan(), "negative/NaN edge cost on {e}");
+                let w = if w.is_nan() { 0.0 } else { w.max(0.0) };
+                let nd = d + w;
+                if nd < self.dist[v.index()] {
+                    self.dist[v.index()] = nd;
+                    self.prev[v.index()] = Some((u, e));
+                    self.heap.push(HeapEntry { dist: nd, node: v });
+                }
             }
         }
     }
-
-    ShortestPaths { source, dist, prev }
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 
 use hft_netgraph::{
     bounded_paths, bridges, connected_components, dijkstra, yen_k_shortest, BoundedPathsConfig,
-    Graph, NodeId,
+    DijkstraWorkspace, Graph, NodeId,
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -22,6 +22,31 @@ fn arb_graph() -> impl Strategy<Value = Graph<(), f64>> {
                 }
             }
             g
+        })
+    })
+}
+
+/// Edge weights full of ties: zero-weight edges, repeated weights, and
+/// 0.1 + 0.2 against 0.3, which differ in the last bit.
+const TIED_WEIGHTS: [f64; 8] = [0.0, 0.0, 1.0, 1.0, 0.1, 0.2, 0.3, 2.5];
+
+/// A random graph with 1 to 9 nodes and up to 20 edges weighted from
+/// [`TIED_WEIGHTS`], with a random edge filter that blocks about a
+/// quarter of the edges.
+fn arb_tied_graph() -> impl Strategy<Value = (Graph<(), f64>, Vec<bool>)> {
+    (1usize..=9).prop_flat_map(|n| {
+        let edges = proptest::collection::vec((0..n, 0..n, 0..TIED_WEIGHTS.len(), 0u8..4), 0..=20);
+        edges.prop_map(move |edges| {
+            let mut g: Graph<(), f64> = Graph::new();
+            let ids: Vec<NodeId> = (0..n).map(|_| g.add_node(())).collect();
+            let mut open = Vec::new();
+            for (u, v, w, keep) in edges {
+                if u != v {
+                    g.add_edge(ids[u], ids[v], TIED_WEIGHTS[w]);
+                    open.push(keep != 0);
+                }
+            }
+            (g, open)
         })
     })
 }
@@ -63,6 +88,24 @@ proptest! {
             let b = oracle[v.index()];
             prop_assert!((a - b).abs() < 1e-9 || (a.is_infinite() && b.is_infinite()),
                 "node {v}: dijkstra={a} oracle={b}");
+        }
+    }
+
+    #[test]
+    fn stopped_search_matches_full_dijkstra_bit_for_bit(case in arb_tied_graph()) {
+        let (g, open) = case;
+        // One workspace across every query, as a Monte Carlo reuses it.
+        let mut search = DijkstraWorkspace::new();
+        for s in g.node_ids() {
+            let full = dijkstra(&g, s, |_, w| *w, |e| open[e.index()]);
+            for t in g.node_ids() {
+                let stopped = search.distance(&g, s, t, |_, w| *w, |e| open[e.index()]);
+                prop_assert_eq!(
+                    stopped.map(f64::to_bits),
+                    full.distance(t).map(f64::to_bits),
+                    "{} -> {}", s, t
+                );
+            }
         }
     }
 

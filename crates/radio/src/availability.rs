@@ -9,7 +9,7 @@
 
 use crate::linkbudget::LinkBudget;
 use crate::multipath::multipath_outage_probability;
-use crate::rain::rain_attenuation_db;
+use crate::rain::{effective_path_length_km, power_law, rain_attenuation_db};
 use rand::Rng;
 
 /// Outage model for one microwave link.
@@ -42,6 +42,30 @@ impl LinkOutageModel {
     /// rain attenuation must leave the margin positive.
     pub fn up_under_rain(&self, rain_mm_h: f64) -> bool {
         rain_attenuation_db(self.freq_ghz, self.length_km, rain_mm_h) < self.fade_margin_db()
+    }
+
+    /// [`LinkOutageModel::up_under_rain`] with every term that depends on
+    /// the link alone computed once, for loops that test one link
+    /// against many rain rates.
+    pub fn rain_screen(&self) -> RainScreen {
+        let (k, alpha) = power_law(self.freq_ghz);
+        let margin_db = self.fade_margin_db();
+        // The attenuation is k·Rᵅ over the *effective* path, which is no
+        // longer than the link, so any rain with k·Rᵅ·length below the
+        // margin leaves the link up. The 1e-9 slack dwarfs the few ulps
+        // of rounding in this bound and in the attenuation itself.
+        let surely_up_mm_h = if margin_db > 0.0 && self.length_km > 0.0 {
+            (margin_db * (1.0 - 1e-9) / (k * self.length_km)).powf(1.0 / alpha)
+        } else {
+            0.0
+        };
+        RainScreen {
+            length_km: self.length_km,
+            k,
+            alpha,
+            margin_db,
+            surely_up_mm_h,
+        }
     }
 
     /// Residual margin (dB) under rain rate `rain_mm_h`; negative = outage.
@@ -77,6 +101,43 @@ impl LinkOutageModel {
             }
         }
         Some((lo + hi) / 2.0)
+    }
+}
+
+/// One link's rain-outage decision with its constants hoisted: the
+/// P.838 `(k, α)` at its frequency, its clear-air fade margin and a rain
+/// rate below which it is surely up. Built by
+/// [`LinkOutageModel::rain_screen`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RainScreen {
+    length_km: f64,
+    k: f64,
+    alpha: f64,
+    margin_db: f64,
+    surely_up_mm_h: f64,
+}
+
+impl RainScreen {
+    /// Rain rate (mm/h) below which the link stays up without the
+    /// attenuation being evaluated; 0 (no screen) for a link with no
+    /// positive margin or no length.
+    pub fn surely_up_mm_h(&self) -> f64 {
+        self.surely_up_mm_h
+    }
+
+    /// Exactly [`LinkOutageModel::up_under_rain`] of the model the screen
+    /// was built from, for every rain rate: below
+    /// [`RainScreen::surely_up_mm_h`] it answers without evaluating the
+    /// attenuation, elsewhere it evaluates the identical expression.
+    pub fn up_under_rain(&self, rain_mm_h: f64) -> bool {
+        let specific = if rain_mm_h <= 0.0 {
+            0.0
+        } else if rain_mm_h < self.surely_up_mm_h {
+            return true;
+        } else {
+            self.k * rain_mm_h.powf(self.alpha)
+        };
+        specific * effective_path_length_km(self.length_km, rain_mm_h) < self.margin_db
     }
 }
 
@@ -213,6 +274,65 @@ mod tests {
         let link = LinkOutageModel::typical(48.5, 11.2);
         let p = link.multipath_outage_probability();
         assert!(p > 0.0 && p < 0.01, "got {p}");
+    }
+
+    /// Links from 0.5 to 120 km at 0.5 to 30 GHz, so both clamped ends
+    /// of the coefficient table are crossed.
+    fn link_grid() -> impl Iterator<Item = LinkOutageModel> {
+        let lengths = [0.5, 1.0, 3.7, 12.0, 36.0, 48.5, 75.0, 120.0];
+        let freqs = [0.5, 1.0, 2.3, 6.175, 10.7, 11.2, 18.0, 23.0, 25.0, 30.0];
+        lengths
+            .into_iter()
+            .flat_map(move |l| freqs.map(|f| LinkOutageModel::typical(l, f)))
+    }
+
+    #[test]
+    fn rain_just_below_the_screen_leaves_the_link_up() {
+        for link in link_grid() {
+            let r_up = link.rain_screen().surely_up_mm_h();
+            assert!(r_up > 0.0, "{link:?} has positive margin and length");
+            for r in [r_up * (1.0 - 1e-12), r_up.next_down(), r_up * 0.5] {
+                assert!(link.up_under_rain(r), "{link:?} down at {r} < {r_up}");
+            }
+            if let Some(crit) = link.critical_rain_rate() {
+                assert!(r_up <= crit, "{link:?}: screen {r_up} above failure {crit}");
+            }
+        }
+    }
+
+    /// A link with no fade margin and a link of zero length.
+    fn unscreened() -> [LinkOutageModel; 2] {
+        let mut deaf = LinkOutageModel::typical(40.0, 11.0);
+        deaf.budget.rx_sensitivity_dbm = 0.0;
+        assert!(deaf.fade_margin_db() <= 0.0);
+        [deaf, LinkOutageModel::typical(0.0, 11.0)]
+    }
+
+    #[test]
+    fn no_margin_or_no_length_means_no_screen() {
+        for link in unscreened() {
+            assert_eq!(link.rain_screen().surely_up_mm_h(), 0.0, "{link:?}");
+        }
+    }
+
+    #[test]
+    fn screen_decides_exactly_as_the_model() {
+        for link in link_grid().chain(unscreened()) {
+            let screen = link.rain_screen();
+            let r_up = screen.surely_up_mm_h();
+            let mut rates = vec![-3.0, 0.0, 1e-9, r_up, r_up.next_up(), f64::NAN];
+            rates.extend((0..=300).map(|i| f64::from(i) * 0.5));
+            if let Some(crit) = link.critical_rain_rate() {
+                rates.extend([crit.next_down(), crit, crit.next_up()]);
+            }
+            for r in rates {
+                assert_eq!(
+                    screen.up_under_rain(r),
+                    link.up_under_rain(r),
+                    "{link:?} at {r} mm/h"
+                );
+            }
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod linkbudget;
 pub mod multipath;
 pub mod rain;
 
-pub use availability::{LinkOutageModel, WeatherEvent, WeatherSampler};
+pub use availability::{LinkOutageModel, RainScreen, WeatherEvent, WeatherSampler};
 pub use bands::{Band, BandPlan, Channel, GHZ, MHZ};
 pub use climate::{link_annual_availability, path_annual_availability, RainClimate};
 pub use linkbudget::{fade_margin_db, free_space_path_loss_db, LinkBudget};

@@ -30,6 +30,15 @@ pub fn specific_attenuation_db_per_km(freq_ghz: f64, rain_mm_h: f64) -> f64 {
     if rain_mm_h <= 0.0 {
         return 0.0;
     }
+    let (k, alpha) = power_law(freq_ghz);
+    k * rain_mm_h.powf(alpha)
+}
+
+/// The power-law coefficients `(k, α)` of `γ = k·Rᵅ` at `freq_ghz`,
+/// interpolated from the table and clamped to its `[1, 25]` GHz range.
+/// They depend on frequency alone, so a caller testing one link against
+/// many rain rates computes them once.
+pub fn power_law(freq_ghz: f64) -> (f64, f64) {
     let f = freq_ghz.clamp(COEFFS[0].0, COEFFS[COEFFS.len() - 1].0);
     // Locate bracketing rows.
     let mut i = 0;
@@ -45,7 +54,7 @@ pub fn specific_attenuation_db_per_km(freq_ghz: f64, rain_mm_h: f64) -> f64 {
     };
     let k = (k0.ln() + t * (k1.ln() - k0.ln())).exp();
     let alpha = a0 + t * (a1 - a0);
-    k * rain_mm_h.powf(alpha)
+    (k, alpha)
 }
 
 /// Effective path length (km) for rain attenuation per the P.530-style

@@ -237,6 +237,9 @@ impl<'a> Service<'a> {
                 seed,
             } => match pair(from, to) {
                 Err(e) => err(e),
+                // Zero-length corridor: every link sits at its far end and
+                // the "route" is two fiber tails.
+                Ok(_) if from == to => err(format!("no weather route from {from} to itself")),
                 Ok((a, b)) => {
                     if *samples == 0 || *samples > 1_000_000 {
                         return err(format!("samples must be in 1..=1000000, got {samples}"));

@@ -59,6 +59,39 @@ fn concurrent_cold_requests_reconstruct_once() {
     assert!(serve.flights_led >= 1);
 }
 
+/// A race or weather request from a data center to itself has no
+/// corridor to measure: both answer an error, not a number.
+#[test]
+fn self_pairs_answer_errors() {
+    let service = Service::new(&eco().db);
+    for dc in ["CME", "NY4", "NYSE", "NASDAQ"] {
+        let race = Request::Race {
+            licensee: "Pierce Broadband".into(),
+            date: paper_date(),
+            from: dc.into(),
+            to: dc.into(),
+            constellation: "starlink".into(),
+            samples: 2_000,
+            seed: 5,
+        };
+        let weather = Request::Weather {
+            licensee: "Pierce Broadband".into(),
+            date: paper_date(),
+            from: dc.into(),
+            to: dc.into(),
+            samples: 2_000,
+            seed: 5,
+        };
+        for request in [race, weather] {
+            let answer = service.handle(&request);
+            assert!(
+                matches!(answer, Response::Error { .. }),
+                "{request:?} answered {answer:?}"
+            );
+        }
+    }
+}
+
 /// The wire server must answer byte-for-byte what a direct in-process
 /// `Service` computes — the transport adds nothing and loses nothing.
 #[test]
