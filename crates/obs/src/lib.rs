@@ -39,9 +39,9 @@ pub use hist::{Histogram, HistogramShard, HistogramSnapshot};
 pub use metrics::{Counter, Gauge};
 pub use registry::{global, HistDelta, HistSummary, Registry, RegistryDelta, RegistrySnapshot};
 pub use span::{
-    annotate, capture_from, child_span, current_root_start, graft, sample_every, set_sample_every,
-    set_slow_threshold_ns, slow_threshold_ns, span, span_sharded, take_samples, take_slow_queries,
-    trace_root, SpanGuard, SpanRecord, SpanTree,
+    annotate, child_span, sample_every, set_sample_every, set_slow_threshold_ns, slow_threshold_ns,
+    span, span_sharded, take_samples, take_slow_queries, trace_root, SpanGuard, SpanRecord,
+    SpanTree,
 };
 pub use trace::{
     clear_traces, find_trace, format_trace_id, parse_trace_id, set_trace_sample_every,

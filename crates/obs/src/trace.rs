@@ -128,7 +128,7 @@ pub fn parse_trace_id(s: &str) -> Option<u128> {
 }
 
 /// One completed, kept trace: the identity, why it was kept, and the
-/// full span tree (cross-shard segments already stitched in).
+/// full span tree (every shard leg of a scatter included).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceRecord {
     /// The minted trace id.
@@ -141,7 +141,7 @@ pub struct TraceRecord {
     pub slow: bool,
     /// Root duration, ns.
     pub total_ns: u64,
-    /// The stitched span tree.
+    /// The request's span tree.
     pub tree: SpanTree,
 }
 

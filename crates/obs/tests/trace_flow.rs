@@ -1,13 +1,12 @@
 //! End-to-end flow through the tracing layer: a traced root backdated
-//! to an admission instant, an annotated queue-wait interval, captured
-//! scatter subtrees grafted back, and the finished tree landing in the
-//! flight recorder. Lives in its own binary because it owns the
-//! process-global sampling/threshold knobs.
+//! to an admission instant, an annotated queue-wait interval, sharded
+//! scatter legs whose inner spans inherit the leg's shard, and the
+//! finished tree landing in the flight recorder. Lives in its own
+//! binary because it owns the process-global sampling/threshold knobs.
 
 use hft_obs::{
-    annotate, capture_from, clear_traces, current_root_start, find_trace, graft,
-    set_slow_threshold_ns, set_trace_sample_every, span, span_sharded, trace_root, trace_snapshot,
-    TraceContext,
+    annotate, child_span, clear_traces, find_trace, set_slow_threshold_ns, set_trace_sample_every,
+    span, span_sharded, trace_root, trace_snapshot, TraceContext,
 };
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -17,13 +16,11 @@ use std::time::{Duration, Instant};
 static GLOBALS: Mutex<()> = Mutex::new(());
 
 #[test]
-fn traced_scatter_request_is_stitched_and_recorded() {
+fn traced_scatter_request_is_recorded_as_one_tree() {
     let _globals = GLOBALS.lock().expect("globals");
     set_trace_sample_every(1);
     set_slow_threshold_ns(u64::MAX);
     clear_traces();
-
-    assert_eq!(current_root_start(), None, "no tree open yet");
 
     let admitted = Instant::now();
     std::thread::sleep(Duration::from_millis(2)); // simulated queue wait
@@ -33,29 +30,14 @@ fn traced_scatter_request_is_stitched_and_recorded() {
     {
         let _root = trace_root("serve.request", "geographic", ctx, admitted);
         annotate("queue.wait", 0, admitted.elapsed().as_nanos() as u64);
-        let base = current_root_start().expect("root open");
-        assert_eq!(base, admitted, "root clock backdated to admission");
 
         let _scatter = span("router.scatter");
-        // Two scatter legs on worker threads, captured against the
-        // coordinator's clock and grafted back under router.scatter.
-        let legs: Vec<_> = std::thread::scope(|scope| {
-            (0..2u32)
-                .map(|k| {
-                    scope.spawn(move || {
-                        capture_from("shard.call", base, Some(k), || {
-                            std::thread::sleep(Duration::from_millis(1));
-                            k
-                        })
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().expect("leg"))
-                .collect()
-        });
-        for (_k, tree) in legs {
-            graft(tree.expect("captured subtree"));
+        // Two scatter legs, in turn on this thread; the work inside a
+        // leg opens its spans without a shard.
+        for k in 0..2u32 {
+            let _leg = span_sharded("shard.call", k);
+            let _lead = child_span("singleflight.lead");
+            std::thread::sleep(Duration::from_millis(1));
         }
         drop(_scatter);
         let _merge = span_sharded("router.merge", 0);
@@ -64,7 +46,12 @@ fn traced_scatter_request_is_stitched_and_recorded() {
     let rec = find_trace(ctx.trace_id).expect("trace recorded");
     assert_eq!(rec.label, "geographic");
     assert!(rec.sampled && !rec.slow);
-    rec.tree.check().expect("stitched tree stays well-formed");
+    rec.tree.check().expect("scatter tree stays well-formed");
+    assert!(
+        rec.total_ns >= 2_000_000,
+        "root clock backdated to admission: {}",
+        rec.total_ns
+    );
 
     let names: Vec<&str> = rec.tree.spans.iter().map(|s| s.name).collect();
     assert_eq!(
@@ -74,17 +61,20 @@ fn traced_scatter_request_is_stitched_and_recorded() {
             "queue.wait",
             "router.scatter",
             "shard.call",
+            "singleflight.lead",
             "shard.call",
+            "singleflight.lead",
             "router.merge"
         ]
     );
     let shards: Vec<Option<u32>> = rec.tree.spans.iter().map(|s| s.shard).collect();
+    assert_eq!(shards[..3], [None, None, None], "no shard above the legs");
     assert_eq!(
-        shards[3..5],
-        [Some(0), Some(1)],
-        "legs keep their shard tags"
+        shards[3..7],
+        [Some(0), Some(0), Some(1), Some(1)],
+        "legs keep their shard tags, and their children inherit them"
     );
-    assert_eq!(shards[5], Some(0), "span_sharded tags the merge");
+    assert_eq!(shards[7], Some(0), "span_sharded tags the merge");
 
     // queue.wait is inside the backdated root window and ~2ms long.
     let wait = &rec.tree.spans[1];
@@ -132,24 +122,13 @@ fn untraced_and_nested_paths_degrade_gracefully() {
     assert_eq!(rec.tree.spans[1].parent, Some(0));
     assert!(find_trace(inner.trace_id).is_none());
 
-    // capture_from with a tree already open: work still runs, no tree.
-    {
-        let _root = span("serve.request");
-        let (value, tree) = capture_from("shard.call", Instant::now(), Some(1), || 9);
-        assert_eq!(value, 9);
-        assert!(tree.is_none());
-    }
-
-    // graft/annotate with nothing open are no-ops.
-    graft(hft_obs::SpanTree {
-        spans: vec![hft_obs::SpanRecord {
-            name: "orphan",
-            parent: None,
-            start_ns: 0,
-            dur_ns: 1,
-            shard: None,
-        }],
-    });
+    // annotate with nothing open is a no-op: nothing leaks into the
+    // next tree.
     annotate("orphan", 0, 1);
-    assert_eq!(current_root_start(), None);
+    let next = TraceContext::mint();
+    {
+        let _root = trace_root("serve.request", "next", next, Instant::now());
+    }
+    let rec = find_trace(next.trace_id).expect("next trace kept");
+    assert_eq!(rec.tree.spans.len(), 1, "{:?}", rec.tree.spans);
 }
