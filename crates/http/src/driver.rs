@@ -374,7 +374,13 @@ impl<H: HttpHost + Sync> HttpConn<'_, H> {
                 },
             ),
             Request::Stats | Request::Metrics | Request::Traces { .. } => {
-                json_answer(200, cx.handler().handle(&request))
+                let (status, content_type, body) =
+                    self.finish(&Finish::Api, cx.answer_inline(&request));
+                Answer::Now {
+                    status,
+                    content_type,
+                    body,
+                }
             }
             request => self.submit(request, Finish::Api, cx),
         }

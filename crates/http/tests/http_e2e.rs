@@ -3,9 +3,10 @@
 //! pages, the JSON API's byte-identity with the wire handler, content
 //! types, keep-alive pipelining, and error paths.
 
-use hft_http::HttpExplorer;
+use hft_core::session::AnalysisSession;
+use hft_http::{HttpExplorer, HttpHost};
 use hft_serve::evloop::ExtraListener;
-use hft_serve::{Client, Request, Response, ServeConfig, Server, Service};
+use hft_serve::{Client, Handler, Request, Response, ServeConfig, ServeStats, Server, Service};
 use hft_time::Date;
 use hft_uls::{
     CallSign, FrequencyAssignment, License, LicenseId, MicrowavePath, RadioService, StationClass,
@@ -13,6 +14,7 @@ use hft_uls::{
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
 
 fn lic(id: u64, name: &str, lat: f64, lon: f64) -> License {
     License {
@@ -395,4 +397,85 @@ fn head_answers_headers_only_and_errors_close() {
         bad.stream.read_to_end(&mut rest).expect("read to close");
         assert!(rest.is_empty(), "server closed after the error");
     });
+}
+
+/// A host whose `stats` answer panics. `POST /api` answers telemetry on
+/// the event loop, so the loop itself must catch the panic.
+struct PanicsOnStats(Service<'static>);
+
+impl Handler for PanicsOnStats {
+    fn handle(&self, req: &Request) -> Response {
+        if matches!(req, Request::Stats) {
+            panic!("injected handler fault");
+        }
+        self.0.handle(req)
+    }
+
+    fn serve_stats(&self) -> &ServeStats {
+        self.0.stats()
+    }
+}
+
+impl HttpHost for PanicsOnStats {
+    fn visit_shards(&self, f: &mut dyn FnMut(u64, &AnalysisSession<'_>)) {
+        self.0.visit_shards(f)
+    }
+
+    fn visit_owner(&self, licensee: &str, f: &mut dyn FnMut(u64, &AnalysisSession<'_>)) {
+        self.0.visit_owner(licensee, f)
+    }
+}
+
+#[test]
+fn panicking_telemetry_answers_error_over_http() {
+    let (addrs, rx) = std::sync::mpsc::channel();
+    // Its own thread, joined only after shutdown: a loop that stopped
+    // answering fails the reads below on their timeout instead of
+    // hanging the test.
+    let serving = std::thread::spawn(move || {
+        let host = PanicsOnStats(Service::over_snapshot(
+            std::sync::Arc::new(corpus()),
+            0,
+            std::sync::Arc::new(ServeStats::default()),
+        ));
+        let server = Server::bind(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            ..ServeConfig::default()
+        })
+        .expect("bind wire");
+        let explorer = HttpExplorer::new(&host);
+        let extra = ExtraListener::bind("127.0.0.1:0", &explorer).expect("bind http");
+        let wire = server.local_addr().expect("wire addr");
+        let http = extra.local_addr().expect("http addr");
+        addrs.send((wire, http)).expect("send addresses");
+        server.run_with_extras(&host, &[extra])
+    });
+    let (wire, http) = rx.recv().expect("server addresses");
+    let mut conn = HttpClient::connect(http);
+    conn.stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+
+    let reply = conn.post_api(&Request::Stats);
+    assert_eq!(reply.status, 400);
+    let panicked = Response::Error {
+        message: "internal error: handler panicked".into(),
+    };
+    assert_eq!(reply.body, panicked.encode());
+    let site_search = Request::SiteSearch {
+        service: "MG".into(),
+        class: "FXO".into(),
+    };
+    assert_eq!(conn.post_api(&site_search).status, 200, "still served");
+
+    let mut client = Client::connect(&wire).expect("wire client");
+    assert!(matches!(
+        client.call(&Request::Shutdown).expect("shutdown"),
+        Response::ShuttingDown
+    ));
+    let stats = serving
+        .join()
+        .expect("server thread")
+        .expect("server ran cleanly");
+    assert_eq!(stats.errors, 1, "the panic is counted as an error");
 }

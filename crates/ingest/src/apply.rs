@@ -239,9 +239,9 @@ impl Applier {
         store.publish(Arc::clone(&self.db), self.last_date)
     }
 
-    /// Publish the working corpus across a fleet's shards: the full
-    /// corpus is re-partitioned and every shard store advances one
-    /// generation in lockstep. See
+    /// Publish the working corpus across a fleet's shards: every shard
+    /// store advances one generation in lockstep, and only the shards
+    /// whose piece of the corpus changed get a new corpus. See
     /// [`ShardedStore::publish_full`](crate::sharded::ShardedStore::publish_full).
     pub fn publish_sharded(&self, fleet: &crate::sharded::ShardedStore) -> u64 {
         fleet.publish_full(&self.db, self.last_date)

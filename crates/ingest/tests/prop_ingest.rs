@@ -5,17 +5,21 @@
 //! — the license list, the site bucket grid, the `(service, class)`
 //! index, and the sorted licensee-name cache. A second property checks
 //! that the final corpus depends only on the event sequence, never on
-//! how it was split into batches.
+//! how it was split into batches. A third checks that a fleet's delta
+//! publish lands every shard on exactly a fresh partition's piece.
 
 use hft_geodesy::LatLon;
 use hft_ingest::model::apply_events;
-use hft_ingest::{Applier, DumpBatch, DumpEvent};
+use hft_ingest::{Applier, DumpBatch, DumpEvent, ShardedStore};
 use hft_time::Date;
+use hft_uls::shard::{partition, ShardStrategy};
 use hft_uls::{
     CallSign, FrequencyAssignment, License, LicenseId, MicrowavePath, RadioService, StationClass,
     TowerSite, UlsDatabase, UlsPortal,
 };
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use std::sync::Arc;
 
 /// A compact spec for one event, over a deliberately small key space so
 /// streams collide: call signs repeat (driving `NewExists`, updates and
@@ -124,6 +128,38 @@ fn ids(licenses: &[&License]) -> Vec<u64> {
     licenses.iter().map(|l| l.id.0).collect()
 }
 
+/// Publish `applier`'s corpus through `fleet`, then check every shard
+/// against a fresh partition of it: the same corpus, indexes included,
+/// and the very `Arc` it held before when its piece did not change.
+fn publish_and_check(fleet: &ShardedStore, applier: &Applier) -> Result<(), TestCaseError> {
+    let held: Vec<Arc<UlsDatabase>> = fleet
+        .shards()
+        .iter()
+        .map(|s| s.current().db_arc())
+        .collect();
+    let before = fleet.generation_vector()[0];
+    let generation = applier.publish_sharded(fleet);
+    prop_assert_eq!(generation, before + 1);
+    prop_assert_eq!(
+        fleet.generation_vector(),
+        vec![generation; fleet.shard_count()],
+        "generations left lockstep"
+    );
+    let want = partition(applier.db(), fleet.shard_count(), fleet.strategy());
+    for (k, (store, piece)) in fleet.shards().iter().zip(&want.shards).enumerate() {
+        let now = store.current().db_arc();
+        prop_assert!(*now == *piece, "shard {} diverged from the partition", k);
+        if *held[k] == *piece {
+            prop_assert!(
+                Arc::ptr_eq(&now, &held[k]),
+                "unchanged shard {} was copied",
+                k
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -165,6 +201,39 @@ proptest! {
         );
         prop_assert_eq!(applier.db().licensees(), rebuilt.licensees());
         prop_assert!(applier.verify().is_ok(), "Applier::verify rejected its own state");
+    }
+
+    /// Delta publish: publishing after every batch through a fleet of
+    /// 1-4 shards, under either strategy, keeps each shard equal to a
+    /// fresh partition of the corpus. The stream's updates move licenses
+    /// between licensees (and so between shards), and one rewind to an
+    /// earlier corpus mid-stream takes the rebuild path.
+    #[test]
+    fn sharded_publish_equals_a_fresh_partition(
+        specs in proptest::collection::vec(arb_event(), 0..60),
+        splits in arb_splits(60),
+        rewind in 0usize..64,
+    ) {
+        let batches = to_batches(&specs, &splits);
+        let rewind_at = rewind % batches.len().max(1);
+        for strategy in [ShardStrategy::LicenseeHash, ShardStrategy::SpatialCell] {
+            for shards in 1..=4 {
+                let mut applier = Applier::new(UlsDatabase::new());
+                let fleet = ShardedStore::seeded(applier.db(), shards, strategy, None);
+                let mut saved = Arc::new(UlsDatabase::new());
+                for (i, batch) in batches.iter().enumerate() {
+                    applier.apply(batch);
+                    publish_and_check(&fleet, &applier)?;
+                    if i == rewind_at / 2 {
+                        saved = Arc::new(applier.db().clone());
+                    }
+                    if i == rewind_at {
+                        applier = Applier::resume(Arc::clone(&saved), applier.last_date());
+                        publish_and_check(&fleet, &applier)?;
+                    }
+                }
+            }
+        }
     }
 
     #[test]

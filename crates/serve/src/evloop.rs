@@ -139,6 +139,13 @@ impl DriverCx<'_> {
         self.handler
     }
 
+    /// Answer a queue-bypassing request here on the loop. A handler
+    /// panic answers the same structured error a pool worker gives, so
+    /// it cannot unwind out of the loop.
+    pub fn answer_inline(&self, request: &Request) -> Response {
+        crate::pool::answer(self.handler, request)
+    }
+
     /// Admit a request to the bounded worker pool. The returned slot
     /// fills on a pool worker and pokes the loop's waker; encode it from
     /// the driver's `pump`. Rejections are immediate and explicit.
@@ -320,8 +327,8 @@ impl WireDriver {
             Request::Stats | Request::Metrics | Request::Traces { .. } => {
                 // Queue-bypassing telemetry: must answer even when the
                 // admission queue is saturated.
-                let response = cx.handler().handle(&request);
-                stats.on_completed(false);
+                let response = cx.answer_inline(&request);
+                stats.on_completed(matches!(response, Response::Error { .. }));
                 self.outq
                     .push_back(Outgoing::Ready(Box::new(response), self.proto));
             }

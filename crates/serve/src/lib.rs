@@ -17,8 +17,9 @@
 //!    order, and a blocking/pipelining client.
 //! 6. [`live`] — a generation-following engine over an ingest
 //!    [`SnapshotStore`](hft_ingest::SnapshotStore): one
-//!    [`Service`](service::Service) per corpus generation, swapped when
-//!    the ingest applier publishes, so session memoization can never
+//!    [`Service`](service::Service) per published corpus, swapped when
+//!    the ingest applier publishes a new one (and only relabelled when
+//!    a publish keeps the corpus), so session memoization can never
 //!    serve a stale corpus.
 //!
 //! Observability lives in [`stats`]: every admission, rejection, queue

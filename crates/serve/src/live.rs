@@ -1,16 +1,22 @@
 //! Live serving over a mutating corpus: a [`Handler`] that follows a
 //! [`SnapshotStore`] and swaps query engines as generations publish.
 //!
-//! The invariant that makes this safe is *one engine per generation*:
-//! each published corpus generation gets its own [`Service`] — fresh
-//! `AnalysisSession` memoization caches, fresh single-flight group —
-//! built over a shared handle to that generation's corpus. Cache
-//! invalidation is therefore by construction, not by bookkeeping: a
-//! network memoized against generation *N* lives in generation *N*'s
-//! engine, which no request routed after the swap to *N+1* can reach.
+//! The invariant that makes this safe is *one engine per corpus*: each
+//! published corpus gets its own [`Service`] — fresh `AnalysisSession`
+//! memoization caches, fresh single-flight group — built over a shared
+//! handle to that corpus. Cache invalidation is therefore by
+//! construction, not by bookkeeping: a network memoized against
+//! generation *N*'s corpus lives in that corpus's engine, which no
+//! request routed after a swap to a different corpus can reach.
 //! Requests already inside the old engine finish against it — the
 //! engine's session co-owns its corpus `Arc`, so the corpus stays alive
 //! and consistent until the last in-flight query drops it.
+//!
+//! A generation that republishes the corpus `Arc` the engine already
+//! reads (a fleet shard a dump batch left alone) is *relabelled*, not
+//! rebuilt: the engine keeps its caches and answers for the new
+//! generation number from then on. Relabels count in
+//! `serve.generation_relabels`; `generation_swaps` counts rebuilds only.
 //!
 //! Staleness detection is a single atomic load
 //! ([`SnapshotStore::generation`]) per request; the engine mutex is
@@ -31,6 +37,7 @@ pub struct LiveService {
     /// Registry handles, resolved once (labeled by shard when this
     /// service is one fleet shard's worker).
     swap_ns: Arc<hft_obs::Histogram>,
+    relabels: Arc<hft_obs::Counter>,
     staleness_ms: Arc<hft_obs::Gauge>,
 }
 
@@ -68,6 +75,7 @@ impl LiveService {
             engine: Mutex::new(engine),
             stats,
             swap_ns: registry.histogram(&name("serve.generation_swap_ns")),
+            relabels: registry.counter(&name("serve.generation_relabels")),
             staleness_ms: registry.gauge(&name("serve.snapshot_staleness_ms")),
         }
     }
@@ -82,22 +90,28 @@ impl LiveService {
         &self.store
     }
 
-    /// The engine for the store's current generation, building a fresh
-    /// one first if the corpus advanced since the last request.
+    /// The engine for the store's current generation. If the store
+    /// advanced since the last request, the engine is relabelled when
+    /// the new generation kept its corpus, and rebuilt otherwise.
     pub fn engine(&self) -> Arc<Service<'static>> {
         let current = self.store.generation();
         let mut engine = self.engine.lock().expect("live engine");
         if engine.generation() != current {
             let snap = self.store.current();
             if engine.generation() != snap.generation() {
-                let started = std::time::Instant::now();
-                *engine = Arc::new(Service::over_snapshot(
-                    snap.db_arc(),
-                    snap.generation(),
-                    Arc::clone(&self.stats),
-                ));
-                self.stats.on_generation_swap();
-                self.swap_ns.record(started.elapsed().as_nanos() as u64);
+                if engine.reads(snap.db()) {
+                    engine.relabel(snap.generation());
+                    self.relabels.incr();
+                } else {
+                    let started = std::time::Instant::now();
+                    *engine = Arc::new(Service::over_snapshot(
+                        snap.db_arc(),
+                        snap.generation(),
+                        Arc::clone(&self.stats),
+                    ));
+                    self.stats.on_generation_swap();
+                    self.swap_ns.record(started.elapsed().as_nanos() as u64);
+                }
             }
         }
         // How far behind the last publish this request is served —
@@ -193,6 +207,39 @@ mod tests {
             other => panic!("unexpected response {other:?}"),
         }
         assert_eq!(live.stats().snapshot().generation_swaps, 1);
+
+        // Republishing the corpus the engine already reads relabels it:
+        // the generation advances, but the engine and its caches stay.
+        let network = Request::Network {
+            licensee: "Alpha Networks".into(),
+            date: Date::new(2016, 1, 1).unwrap(),
+        };
+        live.handle(&network);
+        let engine = live.engine();
+        let hits = engine.session().stats().network_hits;
+        let relabels = || {
+            hft_obs::global()
+                .snapshot()
+                .counter("serve.generation_relabels")
+                .unwrap_or(0)
+        };
+        let relabelled = relabels();
+        store.publish(store.current().db_arc(), None);
+        assert_eq!(live.generation(), 2);
+        assert!(
+            Arc::ptr_eq(&engine, &live.engine()),
+            "relabelled, not rebuilt"
+        );
+        assert_eq!(engine.generation(), 2);
+        assert_eq!(live.stats().snapshot().generation_swaps, 1);
+        // The registry is shared across the test binary: at least one.
+        assert!(relabels() > relabelled);
+        live.handle(&network);
+        assert_eq!(
+            live.engine().session().stats().network_hits,
+            hits + 1,
+            "the network cached before the publish answers after it"
+        );
     }
 
     #[test]

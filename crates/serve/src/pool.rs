@@ -170,16 +170,24 @@ impl Queue {
                 let _span =
                     hft_obs::trace_root("serve.request", job.request.kind(), job.ctx, job.enqueued);
                 hft_obs::annotate("queue.wait", 0, wait_ns);
-                panic::catch_unwind(AssertUnwindSafe(|| handler.handle(&job.request)))
-                    .unwrap_or_else(|_| Response::Error {
-                        message: "internal error: handler panicked".into(),
-                    })
+                answer(handler, &job.request)
             };
             stats.on_service(started.elapsed().as_nanos() as u64);
             stats.on_completed(matches!(response, Response::Error { .. }));
             job.slot.fill(response);
         }
     }
+}
+
+/// Answer `request` on the calling thread. A handler panic is caught
+/// and answered as a structured error, so it unwinds no further than
+/// the request that caused it.
+pub(crate) fn answer<H: Handler + ?Sized>(handler: &H, request: &Request) -> Response {
+    panic::catch_unwind(AssertUnwindSafe(|| handler.handle(request))).unwrap_or_else(|_| {
+        Response::Error {
+            message: "internal error: handler panicked".into(),
+        }
+    })
 }
 
 #[cfg(test)]

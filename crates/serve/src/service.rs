@@ -17,6 +17,7 @@ use hft_race::{RaceEngine, RaceOutcome};
 use hft_radio::WeatherSampler;
 use hft_uls::scrape::ScrapeConfig;
 use hft_uls::{RadioService, StationClass, UlsDatabase, UlsPortal};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Resolve a data-center code used on the wire.
@@ -49,14 +50,16 @@ pub trait Handler: Sync {
 /// The query engine: one shared [`AnalysisSession`] plus the
 /// single-flight group and the serving-layer counters.
 ///
-/// A `Service` is pinned to exactly one corpus generation: its session
-/// caches and its single-flight group never see requests from another
-/// generation (flight keys carry the generation number, and a live
-/// server builds a fresh `Service` per generation), so a stale memoized
-/// network can never answer a post-swap query.
+/// A `Service` is pinned to exactly one corpus: its session caches and
+/// its single-flight group never see requests against another corpus
+/// (flight keys carry the generation number, and a live server builds
+/// a fresh `Service` whenever a publish brings a new corpus), so a
+/// stale memoized network can never answer a post-swap query. A publish
+/// that hands back the very corpus the engine reads only relabels it
+/// with the new generation number.
 pub struct Service<'a> {
     session: AnalysisSession<'a>,
-    generation: u64,
+    generation: AtomicU64,
     flights: Group<Response>,
     stats: Arc<ServeStats>,
     race: RaceEngine,
@@ -68,7 +71,7 @@ impl<'a> Service<'a> {
     pub fn new(db: &'a UlsDatabase) -> Service<'a> {
         Service {
             session: AnalysisSession::new(db),
-            generation: 0,
+            generation: AtomicU64::new(0),
             flights: Group::new(),
             stats: Arc::new(ServeStats::default()),
             race: RaceEngine::new(),
@@ -86,7 +89,7 @@ impl<'a> Service<'a> {
     ) -> Service<'static> {
         Service {
             session: AnalysisSession::shared(db),
-            generation,
+            generation: AtomicU64::new(generation),
             flights: Group::new(),
             stats,
             race: RaceEngine::new(),
@@ -98,9 +101,22 @@ impl<'a> Service<'a> {
         &self.session
     }
 
-    /// The corpus generation this engine is pinned to.
+    /// The corpus generation this engine answers for.
     pub fn generation(&self) -> u64 {
-        self.generation
+        self.generation.load(Ordering::Relaxed)
+    }
+
+    /// Whether this engine reads exactly `db`: the same allocation, not
+    /// an equal copy.
+    pub(crate) fn reads(&self, db: &UlsDatabase) -> bool {
+        std::ptr::eq(self.portal(), db)
+    }
+
+    /// Answer for `generation` from now on, keeping every cache. Only
+    /// sound when that generation's corpus is the one this engine
+    /// [reads](Service::reads).
+    pub(crate) fn relabel(&self, generation: u64) {
+        self.generation.store(generation, Ordering::Relaxed);
     }
 
     /// The serving-layer counters.
@@ -132,7 +148,7 @@ impl<'a> Service<'a> {
             Some(key) => {
                 // The generation prefix keeps coalescing within one
                 // corpus generation even if a Group were ever shared.
-                let key = format!("g{}|{key}", self.generation);
+                let key = format!("g{}|{key}", self.generation());
                 let (response, leader) = self.flights.run(&key, || self.compute(req));
                 if leader {
                     self.stats.on_flight_led();

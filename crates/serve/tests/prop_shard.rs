@@ -1,8 +1,9 @@
 //! Shard-router properties: partitioning is a function (every license
 //! lands on exactly one shard, co-located with its licensee) and
 //! scatter-gather is transparent (a [`ShardRouter`] over any fleet size
-//! answers byte-identically to a single-corpus [`Service`]) — for
-//! random corpora, random requests, random shard counts including the
+//! answers byte-identically to a single-corpus [`Service`], before and
+//! after the fleet publishes an edited corpus) — for random corpora,
+//! random edits, random requests, random shard counts including the
 //! degenerate N=1 fleet, under both partition strategies.
 
 use hft_geodesy::LatLon;
@@ -73,6 +74,47 @@ fn corpus() -> impl Strategy<Value = UlsDatabase> {
                 .collect(),
         )
     })
+}
+
+/// One corpus edit: `(kind, which, name, lat, lon)`, with `which`
+/// picking a license modulo the corpus size.
+type Edit = (u8, usize, usize, f64, f64);
+
+fn edits() -> impl Strategy<Value = Vec<Edit>> {
+    proptest::collection::vec(
+        (
+            0u8..5,
+            0usize..16,
+            0usize..NAMES.len(),
+            39.0f64..43.0,
+            -89.0f64..-85.0,
+        ),
+        0..4,
+    )
+}
+
+/// `db` with `edits` applied in turn: cancel a license, move it to
+/// another licensee (and so, maybe, another shard), move its sites (a
+/// spatial anchor can move), drop it, or file a new one.
+fn edited(db: &UlsDatabase, edits: &[Edit]) -> UlsDatabase {
+    let mut licenses = db.licenses().to_vec();
+    for (j, &(kind, which, name_ix, lat, lon)) in edits.iter().enumerate() {
+        let seq = 100 + j as u64;
+        if kind == 4 || licenses.is_empty() {
+            licenses.push(license(seq, name_ix, lat, lon, true));
+            continue;
+        }
+        let i = which % licenses.len();
+        match kind {
+            0 => licenses[i].cancellation_date = Some(Date::new(2017, 3, 1).unwrap()),
+            1 => licenses[i].licensee = NAMES[name_ix].into(),
+            2 => licenses[i].paths = license(seq, name_ix, lat, lon, true).paths,
+            _ => {
+                licenses.remove(i);
+            }
+        }
+    }
+    UlsDatabase::from_licenses(licenses)
 }
 
 fn strategy() -> impl Strategy<Value = ShardStrategy> {
@@ -205,28 +247,38 @@ proptest! {
 
     /// Scatter-gather transparency: for any corpus, fleet size and
     /// strategy, the router's answer bytes equal a single-corpus
-    /// service's answer bytes for every request.
+    /// service's answer bytes for every request — and still do after
+    /// the fleet publishes an edited corpus, whichever shards the edits
+    /// touched.
     #[test]
     fn router_matches_single_corpus_bytes(
         db in corpus(),
+        edits in edits(),
         shards in 1usize..8,
         strategy in strategy(),
         requests in proptest::collection::vec(request(), 1..6),
     ) {
-        let single = Service::new(&db);
         let store = ShardedStore::seeded(&db, shards, strategy, None);
         let router = ShardRouter::over(&store);
-        for req in &requests {
-            let got = router.handle(req).encode();
-            let want = single.handle(req).encode();
-            prop_assert_eq!(
-                String::from_utf8_lossy(&got),
-                String::from_utf8_lossy(&want),
-                "{:?} n={} req={:?}",
-                strategy,
-                shards,
-                req
-            );
+        let next = edited(&db, &edits);
+        for (generation, corpus) in [&db, &next].into_iter().enumerate() {
+            if generation > 0 {
+                store.publish_full(corpus, None);
+            }
+            let single = Service::new(corpus);
+            for req in &requests {
+                let got = router.handle(req).encode();
+                let want = single.handle(req).encode();
+                prop_assert_eq!(
+                    String::from_utf8_lossy(&got),
+                    String::from_utf8_lossy(&want),
+                    "{:?} n={} generation {} req={:?}",
+                    strategy,
+                    shards,
+                    generation,
+                    req
+                );
+            }
         }
     }
 }

@@ -735,9 +735,9 @@ fn run_serve<H: hft_http::HttpHost + Sync>(
 /// generation. Starts from an empty corpus (generation 0).
 ///
 /// With `shards > 1` the publisher targets a [`hft_ingest::ShardedStore`]
-/// — every ingested batch re-partitions the corpus and advances each
-/// shard's generation in lockstep — and the server runs a
-/// [`hft_serve::ShardRouter`] over the fleet.
+/// — every ingested batch advances each shard's generation in lockstep,
+/// copying only the shards whose piece of the corpus changed — and the
+/// server runs a [`hft_serve::ShardRouter`] over the fleet.
 fn serve_follow(
     server: &hft_serve::Server,
     dir: &Path,
