@@ -20,10 +20,11 @@
 //! client loop (one request in flight, ever), then the concurrent phase
 //! (`--concurrency` connections, `--window` pipelined requests each).
 //! The speedup between them is what the serving layer buys: batched
-//! syscalls, back-to-back worker dispatch, and single-flight coalescing
-//! of identical in-flight computations (weather Monte Carlo requests are
-//! not session-cached, so the serial loop pays them every time while
-//! concurrent duplicates share one evaluation).
+//! syscalls and back-to-back worker dispatch on every core. Neither
+//! phase recomputes a repeated request: the engine memos answer every
+//! repeat, the hot weather Monte Carlos included, from the first
+//! computation, and concurrent duplicates of a cold request wait for
+//! that one computation.
 //!
 //! `--proto bin` negotiates the compact binary codec over the same
 //! frames; verification still byte-compares the *decoded* response
@@ -93,8 +94,8 @@ impl Args {
 }
 
 /// The mixed workload: the paper's query surface with hot-spot
-/// duplication (many clients asking the same things), which is what the
-/// single-flight layer exists for.
+/// duplication (many clients asking the same things), each distinct
+/// computation answered once by the engine memos.
 fn workload(licensees: &[String]) -> Vec<Request> {
     let d2020 = Date::new(2020, 4, 1).unwrap();
     let d2019 = Date::new(2019, 1, 1).unwrap();
@@ -142,7 +143,8 @@ fn workload(licensees: &[String]) -> Vec<Request> {
         });
     }
     // Hot weather queries: few distinct computations, many repeats. The
-    // Monte Carlo is the one expensive, non-session-cached request.
+    // Monte Carlo is the one expensive request; each repeat reads the
+    // race engine's Monte Carlo memo.
     let weather: Vec<Request> = licensees
         .iter()
         .take(2)
@@ -161,9 +163,10 @@ fn workload(licensees: &[String]) -> Vec<Request> {
         mix.push(weather[i % weather.len()].clone());
     }
     // Hot race queries: the cross-substrate latency race rides the same
-    // weather Monte Carlo, but behind the race engine's per-(pair, seed)
-    // cache — repeats after the first are cache hits, so the tail
-    // attribution shows where the cold computation lands.
+    // weather Monte Carlo memo (at other samples than the weather
+    // queries, so its own entries) — repeats after the first are memo
+    // hits, so the tail attribution shows where the cold computation
+    // lands.
     let races: Vec<Request> = licensees
         .iter()
         .take(2)

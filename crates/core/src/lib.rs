@@ -7,13 +7,15 @@
 //!
 //! The pipeline (§2.3 of the paper):
 //!
-//! 1. [`reconstruct`] — select the licensee's licenses active on the
-//!    as-of date, snap tower coordinates to a one-arc-second grid, and
-//!    stitch links sharing a tower into a [`Network`] graph.
-//! 2. [`route`] — augment the network with the two data centers, adding
-//!    geodesic *fiber* tails (at `2c/3`) from each data center to every
-//!    tower within 50 km, and run Dijkstra with one-way propagation
-//!    latency as the edge cost (air at `c` for microwave links).
+//! 1. [`reconstruct`](mod@reconstruct) — select the licensee's licenses
+//!    active on the as-of date, snap tower coordinates to a
+//!    one-arc-second grid, and stitch links sharing a tower into a
+//!    [`Network`] graph.
+//! 2. [`route`](mod@route) — augment the network with the two data
+//!    centers, adding geodesic *fiber* tails (at `2c/3`) from each data
+//!    center to every tower within 50 km, and run Dijkstra with one-way
+//!    propagation latency as the edge cost (air at `c` for microwave
+//!    links).
 //! 3. [`metrics`] — alternate path availability (APA), link-length and
 //!    frequency CDFs over low-latency paths, as in §5.
 //! 4. [`evolution`] — longitudinal latency and active-license series, as
@@ -38,6 +40,7 @@ pub mod corridor;
 pub mod design;
 pub mod entity;
 pub mod evolution;
+pub mod memo;
 pub mod metrics;
 pub mod network;
 pub mod overhead;

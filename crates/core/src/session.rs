@@ -20,10 +20,11 @@
 //! # Caching
 //!
 //! Networks are memoized on `(licensee, epoch, options)`; routing graphs,
-//! routes and APA on `(licensee, epoch, options, dc-pair)`. All caches
-//! sit behind mutexes and counters are atomic, so a session can be shared
-//! across the scoped threads of [`AnalysisSession::par_map`] (a delegate
-//! of the free [`par_map`], which the corridor generator uses too).
+//! routes and APA on `(licensee, epoch, options, dc-pair)`. Every cache
+//! is a [`Memo`], so concurrent misses on one key compute once, and
+//! counters are atomic: a session can be shared across the scoped
+//! threads of [`AnalysisSession::par_map`] (a delegate of the free
+//! [`par_map`], which the corridor generator uses too).
 //!
 //! # As-of dates
 //!
@@ -36,6 +37,7 @@
 
 use crate::corridor::DataCenter;
 use crate::evolution::{EvolutionPoint, Trajectory};
+use crate::memo::{Memo, Outcome};
 use crate::network::Network;
 use crate::reconstruct::{reconstruct, ReconstructOptions};
 use crate::route::{Route, RoutingGraph};
@@ -45,7 +47,7 @@ use hft_uls::scrape::{run_pipeline, FunnelReport, ScrapeConfig};
 use hft_uls::{License, UlsDatabase, UlsPortal};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Licenses grouped by licensee, with each licensee's sorted lifecycle
 /// event dates — the epoch table.
@@ -195,54 +197,55 @@ impl From<&ReconstructOptions> for OptionsKey {
 /// once at construction, so the per-event cost is two relaxed adds.
 #[derive(Debug)]
 pub struct SessionStats {
-    network_hits: AtomicU64,
-    reconstructions: AtomicU64,
-    route_hits: AtomicU64,
-    route_misses: AtomicU64,
-    apa_hits: AtomicU64,
-    apa_misses: AtomicU64,
-    graph_hits: AtomicU64,
-    graph_misses: AtomicU64,
-    reg: SessionRegistry,
+    network_hits: Tally,
+    reconstructions: Tally,
+    route_hits: Tally,
+    route_misses: Tally,
+    apa_hits: Tally,
+    apa_misses: Tally,
+    graph_hits: Tally,
+    graph_misses: Tally,
+    reconstruct_ns: Arc<hft_obs::Histogram>,
 }
 
-/// Cached global-registry handles for the `session.*` metric family.
+/// One dual-written count: the session's own atomic and the registry
+/// counter of the same name.
 #[derive(Debug)]
-struct SessionRegistry {
-    network_hits: Arc<hft_obs::Counter>,
-    reconstructions: Arc<hft_obs::Counter>,
-    route_hits: Arc<hft_obs::Counter>,
-    route_misses: Arc<hft_obs::Counter>,
-    apa_hits: Arc<hft_obs::Counter>,
-    apa_misses: Arc<hft_obs::Counter>,
-    graph_hits: Arc<hft_obs::Counter>,
-    graph_misses: Arc<hft_obs::Counter>,
-    reconstruct_ns: Arc<hft_obs::Histogram>,
+struct Tally {
+    own: AtomicU64,
+    registry: Arc<hft_obs::Counter>,
+}
+
+impl Tally {
+    fn new(name: &str) -> Tally {
+        Tally {
+            own: AtomicU64::new(0),
+            registry: hft_obs::global().counter(name),
+        }
+    }
+
+    fn bump(&self) {
+        self.own.fetch_add(1, Ordering::Relaxed);
+        self.registry.incr();
+    }
+
+    fn value(&self) -> u64 {
+        self.own.load(Ordering::Relaxed)
+    }
 }
 
 impl Default for SessionStats {
     fn default() -> SessionStats {
-        let r = hft_obs::global();
         SessionStats {
-            network_hits: AtomicU64::new(0),
-            reconstructions: AtomicU64::new(0),
-            route_hits: AtomicU64::new(0),
-            route_misses: AtomicU64::new(0),
-            apa_hits: AtomicU64::new(0),
-            apa_misses: AtomicU64::new(0),
-            graph_hits: AtomicU64::new(0),
-            graph_misses: AtomicU64::new(0),
-            reg: SessionRegistry {
-                network_hits: r.counter("session.network_hits"),
-                reconstructions: r.counter("session.reconstructions"),
-                route_hits: r.counter("session.route_hits"),
-                route_misses: r.counter("session.route_misses"),
-                apa_hits: r.counter("session.apa_hits"),
-                apa_misses: r.counter("session.apa_misses"),
-                graph_hits: r.counter("session.graph_hits"),
-                graph_misses: r.counter("session.graph_misses"),
-                reconstruct_ns: r.histogram("session.reconstruct_ns"),
-            },
+            network_hits: Tally::new("session.network_hits"),
+            reconstructions: Tally::new("session.reconstructions"),
+            route_hits: Tally::new("session.route_hits"),
+            route_misses: Tally::new("session.route_misses"),
+            apa_hits: Tally::new("session.apa_hits"),
+            apa_misses: Tally::new("session.apa_misses"),
+            graph_hits: Tally::new("session.graph_hits"),
+            graph_misses: Tally::new("session.graph_misses"),
+            reconstruct_ns: hft_obs::global().histogram("session.reconstruct_ns"),
         }
     }
 }
@@ -313,60 +316,27 @@ impl std::fmt::Display for StatsSnapshot {
 }
 
 impl SessionStats {
-    fn network_hit(&self) {
-        self.network_hits.fetch_add(1, Ordering::Relaxed);
-        self.reg.network_hits.incr();
-    }
-
-    /// Count a reconstruction and record its latency.
-    fn reconstruction(&self, ns: u64) {
-        self.reconstructions.fetch_add(1, Ordering::Relaxed);
-        self.reg.reconstructions.incr();
-        self.reg.reconstruct_ns.record(ns);
-    }
-
-    fn route_hit(&self) {
-        self.route_hits.fetch_add(1, Ordering::Relaxed);
-        self.reg.route_hits.incr();
-    }
-
-    fn route_miss(&self) {
-        self.route_misses.fetch_add(1, Ordering::Relaxed);
-        self.reg.route_misses.incr();
-    }
-
-    fn apa_hit(&self) {
-        self.apa_hits.fetch_add(1, Ordering::Relaxed);
-        self.reg.apa_hits.incr();
-    }
-
-    fn apa_miss(&self) {
-        self.apa_misses.fetch_add(1, Ordering::Relaxed);
-        self.reg.apa_misses.incr();
-    }
-
-    fn graph_hit(&self) {
-        self.graph_hits.fetch_add(1, Ordering::Relaxed);
-        self.reg.graph_hits.incr();
-    }
-
-    fn graph_miss(&self) {
-        self.graph_misses.fetch_add(1, Ordering::Relaxed);
-        self.reg.graph_misses.incr();
-    }
-
     /// Copy the counters.
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
-            network_hits: self.network_hits.load(Ordering::Relaxed),
-            reconstructions: self.reconstructions.load(Ordering::Relaxed),
-            route_hits: self.route_hits.load(Ordering::Relaxed),
-            route_misses: self.route_misses.load(Ordering::Relaxed),
-            apa_hits: self.apa_hits.load(Ordering::Relaxed),
-            apa_misses: self.apa_misses.load(Ordering::Relaxed),
-            graph_hits: self.graph_hits.load(Ordering::Relaxed),
-            graph_misses: self.graph_misses.load(Ordering::Relaxed),
+            network_hits: self.network_hits.value(),
+            reconstructions: self.reconstructions.value(),
+            route_hits: self.route_hits.value(),
+            route_misses: self.route_misses.value(),
+            apa_hits: self.apa_hits.value(),
+            apa_misses: self.apa_misses.value(),
+            graph_hits: self.graph_hits.value(),
+            graph_misses: self.graph_misses.value(),
         }
+    }
+}
+
+/// Count one memo lookup: a fill is a miss; a hit, or a wait on another
+/// caller's fill, is a hit.
+fn count(outcome: Outcome, hits: &Tally, misses: &Tally) {
+    match outcome {
+        Outcome::Filled => misses.bump(),
+        Outcome::Hit | Outcome::Waited => hits.bump(),
     }
 }
 
@@ -385,20 +355,17 @@ type ScrapeKey = (u64, u64, u64, usize);
 
 /// The shared snapshot engine: owns the license-corpus view and serves
 /// every derived artifact — networks, routing graphs, routes, APA, the
-/// scrape shortlist — from epoch-keyed caches. Shareable across scoped
+/// scrape shortlist — from epoch-keyed memos. Shareable across scoped
 /// threads; see [`AnalysisSession::par_map`].
 pub struct AnalysisSession<'a> {
     index: LicenseIndex,
     corpus: Corpus<'a>,
     options: ReconstructOptions,
-    /// One cell per snapshot: the first miss reconstructs into it while
-    /// concurrent misses on the same key wait, so each snapshot is
-    /// reconstructed once.
-    networks: Mutex<HashMap<NetKey, Arc<OnceLock<Arc<Network>>>>>,
-    graphs: Mutex<HashMap<PairKey, Arc<RoutingGraph>>>,
-    routes: Mutex<HashMap<PairKey, Option<Arc<Route>>>>,
-    apas: Mutex<HashMap<PairKey, Option<f64>>>,
-    scrapes: Mutex<HashMap<ScrapeKey, Arc<ScrapeOutcome>>>,
+    networks: Memo<NetKey, Arc<Network>>,
+    graphs: Memo<PairKey, Arc<RoutingGraph>>,
+    routes: Memo<PairKey, Option<Arc<Route>>>,
+    apas: Memo<PairKey, Option<f64>>,
+    scrapes: Memo<ScrapeKey, Arc<ScrapeOutcome>>,
     stats: SessionStats,
 }
 
@@ -413,11 +380,11 @@ impl<'a> AnalysisSession<'a> {
             index,
             corpus,
             options: ReconstructOptions::default(),
-            networks: Mutex::new(HashMap::new()),
-            graphs: Mutex::new(HashMap::new()),
-            routes: Mutex::new(HashMap::new()),
-            apas: Mutex::new(HashMap::new()),
-            scrapes: Mutex::new(HashMap::new()),
+            networks: Memo::new("session.network", "session.network.wait"),
+            graphs: Memo::new("session.graph", "session.graph.wait"),
+            routes: Memo::new("session.route", "session.route.wait"),
+            apas: Memo::new("session.apa", "session.apa.wait"),
+            scrapes: Memo::new("session.scrape", "session.scrape.wait"),
             stats: SessionStats::default(),
         }
     }
@@ -496,10 +463,10 @@ impl<'a> AnalysisSession<'a> {
         (licensee.to_string(), epoch, OptionsKey::from(&self.options))
     }
 
-    fn pair_key(&self, licensee: &str, epoch: usize, a: &DataCenter, b: &DataCenter) -> PairKey {
+    fn pair_key(&self, licensee: &str, date: Date, a: &DataCenter, b: &DataCenter) -> PairKey {
         (
             licensee.to_string(),
-            epoch,
+            self.epoch(licensee, date),
             OptionsKey::from(&self.options),
             a.code,
             b.code,
@@ -514,31 +481,21 @@ impl<'a> AnalysisSession<'a> {
     /// as-of matters.
     pub fn network(&self, licensee: &str, date: Date) -> Arc<Network> {
         let epoch = self.epoch(licensee, date);
-        let key = self.net_key(licensee, epoch);
-        let cell = Arc::clone(
-            self.networks
-                .lock()
-                .expect("network cache")
-                .entry(key)
-                .or_default(),
-        );
-        // Reconstruct outside the map lock, so misses on other snapshots
-        // proceed; a concurrent miss on this one waits on the cell.
-        let mut built = false;
-        let net = cell.get_or_init(|| {
-            built = true;
-            let _span = hft_obs::span("session.network");
+        let (net, outcome) = self.networks.get(self.net_key(licensee, epoch), || {
             let started = std::time::Instant::now();
             let as_of = self.index.epoch_start(licensee, epoch);
             let net = reconstruct(&self.licenses_of(licensee), licensee, as_of, &self.options);
             self.stats
-                .reconstruction(started.elapsed().as_nanos() as u64);
+                .reconstruct_ns
+                .record(started.elapsed().as_nanos() as u64);
             Arc::new(net)
         });
-        if !built {
-            self.stats.network_hit();
-        }
-        Arc::clone(net)
+        count(
+            outcome,
+            &self.stats.network_hits,
+            &self.stats.reconstructions,
+        );
+        net
     }
 
     /// The network of `licensee` restamped with the exact `date` — for
@@ -558,21 +515,11 @@ impl<'a> AnalysisSession<'a> {
         a: &DataCenter,
         b: &DataCenter,
     ) -> Arc<RoutingGraph> {
-        let epoch = self.epoch(licensee, date);
-        let key = self.pair_key(licensee, epoch, a, b);
-        if let Some(hit) = self.graphs.lock().expect("graph cache").get(&key) {
-            self.stats.graph_hit();
-            return Arc::clone(hit);
-        }
-        self.stats.graph_miss();
-        let _span = hft_obs::span("session.graph");
-        let net = self.network(licensee, date);
-        let rg = Arc::new(RoutingGraph::build(&net, a, b));
-        self.graphs
-            .lock()
-            .expect("graph cache")
-            .entry(key)
-            .or_insert(rg.clone());
+        let key = self.pair_key(licensee, date, a, b);
+        let (rg, outcome) = self.graphs.get(key, || {
+            Arc::new(RoutingGraph::build(&self.network(licensee, date), a, b))
+        });
+        count(outcome, &self.stats.graph_hits, &self.stats.graph_misses);
         rg
     }
 
@@ -585,22 +532,13 @@ impl<'a> AnalysisSession<'a> {
         a: &DataCenter,
         b: &DataCenter,
     ) -> Option<Arc<Route>> {
-        let epoch = self.epoch(licensee, date);
-        let key = self.pair_key(licensee, epoch, a, b);
-        if let Some(hit) = self.routes.lock().expect("route cache").get(&key) {
-            self.stats.route_hit();
-            return hit.clone();
-        }
-        self.stats.route_miss();
-        let _span = hft_obs::span("session.route");
-        let net = self.network(licensee, date);
-        let rg = self.routing_graph(licensee, date, a, b);
-        let route = rg.route_filtered(&net, |_| true).map(Arc::new);
-        self.routes
-            .lock()
-            .expect("route cache")
-            .entry(key)
-            .or_insert(route.clone());
+        let key = self.pair_key(licensee, date, a, b);
+        let (route, outcome) = self.routes.get(key, || {
+            let net = self.network(licensee, date);
+            let rg = self.routing_graph(licensee, date, a, b);
+            rg.route_filtered(&net, |_| true).map(Arc::new)
+        });
+        count(outcome, &self.stats.route_hits, &self.stats.route_misses);
         route
     }
 
@@ -618,22 +556,13 @@ impl<'a> AnalysisSession<'a> {
     /// Alternate path availability of `licensee` between `a` and `b` as
     /// of `date`, cached per epoch (see [`crate::metrics::apa`]).
     pub fn apa(&self, licensee: &str, date: Date, a: &DataCenter, b: &DataCenter) -> Option<f64> {
-        let epoch = self.epoch(licensee, date);
-        let key = self.pair_key(licensee, epoch, a, b);
-        if let Some(hit) = self.apas.lock().expect("apa cache").get(&key) {
-            self.stats.apa_hit();
-            return *hit;
-        }
-        self.stats.apa_miss();
-        let _span = hft_obs::span("session.apa");
-        let net = self.network(licensee, date);
-        let rg = self.routing_graph(licensee, date, a, b);
-        let apa = crate::metrics::apa_with(&rg, &net);
-        self.apas
-            .lock()
-            .expect("apa cache")
-            .entry(key)
-            .or_insert(apa);
+        let key = self.pair_key(licensee, date, a, b);
+        let (apa, outcome) = self.apas.get(key, || {
+            let net = self.network(licensee, date);
+            let rg = self.routing_graph(licensee, date, a, b);
+            crate::metrics::apa_with(&rg, &net)
+        });
+        count(outcome, &self.stats.apa_hits, &self.stats.apa_misses);
         apa
     }
 
@@ -642,26 +571,19 @@ impl<'a> AnalysisSession<'a> {
     /// ([`AnalysisSession::over`]).
     pub fn scrape(&self, reference: &LatLon, config: &ScrapeConfig) -> Option<Arc<ScrapeOutcome>> {
         let db = self.corpus.db()?;
-        let _span = hft_obs::span("session.scrape");
         let key: ScrapeKey = (
             reference.lat_deg().to_bits(),
             reference.lon_deg().to_bits(),
             config.radius_km.to_bits(),
             config.min_filings,
         );
-        if let Some(hit) = self.scrapes.lock().expect("scrape cache").get(&key) {
-            return Some(Arc::clone(hit));
-        }
-        let (_, report) = run_pipeline(db, reference, config);
-        let outcome = Arc::new(ScrapeOutcome {
-            shortlist: report.shortlist.clone(),
-            report,
+        let (outcome, _) = self.scrapes.get(key, || {
+            let (_, report) = run_pipeline(db, reference, config);
+            Arc::new(ScrapeOutcome {
+                shortlist: report.shortlist.clone(),
+                report,
+            })
         });
-        self.scrapes
-            .lock()
-            .expect("scrape cache")
-            .entry(key)
-            .or_insert(outcome.clone());
         Some(outcome)
     }
 

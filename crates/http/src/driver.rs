@@ -2,7 +2,7 @@
 //!
 //! [`HttpExplorer`] is a [`DriverFactory`] for the serve crate's
 //! readiness loop: register it as an extra listener and every accepted
-//! connection gets an [`HttpConn`] — an incremental parser feeding a
+//! connection gets an `HttpConn` — an incremental parser feeding a
 //! route dispatcher, with responses queued strictly in request order
 //! (HTTP/1.1 pipelining never reorders).
 //!
@@ -17,7 +17,7 @@
 //!   finished (rendered or byte-encoded) when the slot fills. This
 //!   keeps reconstruction/scrape work off the event loop *and* warms
 //!   the owning engine's memoization, so a page's follow-up session
-//!   visit is a cache hit (see [`HttpHost`](crate::host::HttpHost)).
+//!   visit is a cache hit (see [`HttpHost`]).
 //!
 //! The JSON API (`POST /api`) decodes a wire request from the body and
 //! answers `handler.handle(request)` bytes verbatim — the HTTP answer

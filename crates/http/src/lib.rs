@@ -13,11 +13,11 @@
 //!
 //! 1. [`parser`] — an incremental request parser with hard caps on
 //!    every attacker-controlled dimension and a structured
-//!    [`HttpError`](parser::HttpError) taxonomy; never panics on
+//!    [`HttpError`] taxonomy; never panics on
 //!    arbitrary bytes.
 //! 2. [`response`] — status-line + header serialization into pooled
 //!    buffers.
-//! 3. [`host`] — [`HttpHost`](host::HttpHost): generation-pinned
+//! 3. [`host`] — [`HttpHost`]: generation-pinned
 //!    session visits over `Service`/`LiveService`/`ShardRouter`, so
 //!    pages render one consistent corpus under live ingest.
 //! 4. [`pages`] — data-ink-first HTML: the corpus index, per-licensee

@@ -7,7 +7,7 @@
 //!   relative error, mergeable shards). Recording is a few relaxed
 //!   atomic operations; handles are resolved once from the global
 //!   [`Registry`] and cached, so the hot path never touches a lock.
-//! * **Spans** — scoped guards ([`span`]) that capture nested timing
+//! * **Spans** — scoped guards ([`span()`]) that capture nested timing
 //!   trees per thread. Completed trees are sampled into a per-thread
 //!   ring buffer; any tree whose root exceeds the slow threshold is
 //!   pushed to a global **slow-query log** ([`take_slow_queries`]).
@@ -39,9 +39,9 @@ pub use hist::{Histogram, HistogramShard, HistogramSnapshot};
 pub use metrics::{Counter, Gauge};
 pub use registry::{global, HistDelta, HistSummary, Registry, RegistryDelta, RegistrySnapshot};
 pub use span::{
-    annotate, child_span, sample_every, set_sample_every, set_slow_threshold_ns, slow_threshold_ns,
-    span, span_sharded, take_samples, take_slow_queries, trace_root, SpanGuard, SpanRecord,
-    SpanTree,
+    annotate, annotate_since, child_span, sample_every, set_sample_every, set_slow_threshold_ns,
+    slow_threshold_ns, span, span_sharded, take_samples, take_slow_queries, trace_root, SpanGuard,
+    SpanRecord, SpanTree,
 };
 pub use trace::{
     clear_traces, find_trace, format_trace_id, parse_trace_id, set_trace_sample_every,

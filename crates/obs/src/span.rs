@@ -216,6 +216,23 @@ impl ThreadSpans {
         });
         self.open.push(idx);
     }
+
+    /// Attach an already-closed span under the innermost open one (none
+    /// open: dropped). Like [`ThreadSpans::push_open`], it takes its
+    /// parent's shard.
+    fn push_closed(&mut self, name: &'static str, start_ns: u64, dur_ns: u64) {
+        let Some(&parent) = self.open.last() else {
+            return;
+        };
+        let shard = self.spans[parent as usize].shard;
+        self.spans.push(SpanRecord {
+            name,
+            parent: Some(parent),
+            start_ns,
+            dur_ns,
+            shard,
+        });
+    }
 }
 
 thread_local! {
@@ -275,8 +292,8 @@ pub fn span_sharded(name: &'static str, shard: u32) -> SpanGuard {
 /// thread. A lone child would otherwise finalize as a single-span root
 /// tree — full tree bookkeeping (two clock reads, finalize, ring
 /// bookkeeping) for a record nothing can attribute to a request. Use
-/// it for hot-path markers (single-flight legs, cache-hit markers)
-/// that are only meaningful inside an enclosing traced request.
+/// it for hot-path markers that are only meaningful inside an
+/// enclosing traced request.
 pub fn child_span(name: &'static str) -> SpanGuard {
     if !crate::enabled() {
         return SpanGuard {
@@ -356,21 +373,26 @@ pub fn trace_root(
 /// before the tree existed, e.g. queue wait under a [`trace_root`]
 /// backdated to the enqueue instant.
 pub fn annotate(name: &'static str, start_ns: u64, dur_ns: u64) {
+    if crate::enabled() {
+        TLS.with(|t| t.borrow_mut().push_closed(name, start_ns, dur_ns));
+    }
+}
+
+/// Like [`annotate`], for the interval from `started` until now: a span
+/// whose name is known only once it ends (a memo caller learns it
+/// waited rather than filled only when its wait is over).
+pub fn annotate_since(name: &'static str, started: Instant) {
     if !crate::enabled() {
         return;
     }
     TLS.with(|t| {
         let mut t = t.borrow_mut();
-        let Some(&parent) = t.open.last() else {
+        let Some(root) = t.root_start else {
             return;
         };
-        t.spans.push(SpanRecord {
-            name,
-            parent: Some(parent),
-            start_ns,
-            dur_ns,
-            shard: None,
-        });
+        let start_ns = started.saturating_duration_since(root).as_nanos() as u64;
+        let end_ns = root.elapsed().as_nanos() as u64;
+        t.push_closed(name, start_ns, end_ns.saturating_sub(start_ns));
     });
 }
 

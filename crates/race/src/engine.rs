@@ -1,6 +1,7 @@
 //! The race engine: per-substrate legs, result caches, instrumentation.
 
 use hft_core::corridor::DataCenter;
+use hft_core::memo::{Memo, Outcome};
 use hft_core::session::AnalysisSession;
 use hft_core::weather::{conditional_latency_on, WeatherOutcome};
 use hft_geodesy::{latency_seconds, LatLon, Medium};
@@ -8,8 +9,7 @@ use hft_leo::{fiber_latency_ms, mw_latency_ms, Constellation, GroundStation};
 use hft_obs::{Counter, Histogram};
 use hft_radio::WeatherSampler;
 use hft_time::Date;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The outcome of one cross-substrate race between two sites.
@@ -94,16 +94,16 @@ type LeoKey = ([u64; 2], [u64; 2], String);
 
 /// The latency-race scenario engine.
 ///
-/// Owns the lazily-built constellations and two result caches — the §5
-/// weather Monte Carlo keyed per `(licensee, epoch, pair, samples,
-/// seed)` and the LEO legs keyed per `(pair, constellation)`. An
-/// engine is expected to be owned by one corpus generation (the serve
-/// layer builds one per `Service`), which is what makes the epoch in
-/// the MC key a complete identity.
+/// Owns three memos: the lazily-built constellations, the §5 weather
+/// Monte Carlo keyed per `(licensee, epoch, pair, samples, seed)` (races
+/// and `Weather` answers share it) and the LEO legs keyed per `(pair,
+/// constellation)`. An engine is expected to be owned by one corpus
+/// generation (the serve layer builds one per `Service`), which is what
+/// makes the epoch in the MC key a complete identity.
 pub struct RaceEngine {
-    constellations: Mutex<HashMap<String, Arc<Constellation>>>,
-    mc_cache: Mutex<HashMap<McKey, Option<WeatherOutcome>>>,
-    leo_cache: Mutex<HashMap<LeoKey, Option<LeoLeg>>>,
+    constellations: Memo<String, Arc<Constellation>>,
+    mc_cache: Memo<McKey, Option<WeatherOutcome>>,
+    leo_cache: Memo<LeoKey, Option<LeoLeg>>,
     compute_ns: Arc<Histogram>,
     mc_hits: Arc<Counter>,
     mc_misses: Arc<Counter>,
@@ -121,9 +121,9 @@ impl RaceEngine {
     pub fn new() -> RaceEngine {
         let r = hft_obs::global();
         RaceEngine {
-            constellations: Mutex::new(HashMap::new()),
-            mc_cache: Mutex::new(HashMap::new()),
-            leo_cache: Mutex::new(HashMap::new()),
+            constellations: Memo::new("race.constellation", "race.constellation.wait"),
+            mc_cache: Memo::new("race.weather_mc", "race.weather_mc.wait"),
+            leo_cache: Memo::new("race.leo", "race.leo.wait"),
             compute_ns: r.histogram("race.compute_ns"),
             mc_hits: r.counter_with("race.mc_cache", "outcome", "hit"),
             mc_misses: r.counter_with("race.mc_cache", "outcome", "miss"),
@@ -139,25 +139,14 @@ impl RaceEngine {
     /// Resolve a constellation by name (`"starlink"`), building and
     /// caching it on first use.
     fn constellation(&self, name: &str) -> Result<Arc<Constellation>, String> {
-        if let Some(c) = self
-            .constellations
-            .lock()
-            .expect("constellations")
-            .get(name)
-        {
-            return Ok(Arc::clone(c));
-        }
-        let built = match name {
-            "starlink" => Constellation::starlink_like(),
+        let build = match name {
+            "starlink" => Constellation::starlink_like,
             other => return Err(format!("unknown constellation {other:?}; try \"starlink\"")),
         };
-        let built = Arc::new(built);
-        self.constellations
-            .lock()
-            .expect("constellations")
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::clone(&built));
-        Ok(built)
+        let (shell, _) = self
+            .constellations
+            .get(name.to_string(), || Arc::new(build()));
+        Ok(shell)
     }
 
     /// The LEO leg between two positions, cached per (pair,
@@ -168,6 +157,7 @@ impl RaceEngine {
         b: &GroundStation,
         constellation: &str,
     ) -> Result<Option<LeoLeg>, String> {
+        let shell = self.constellation(constellation)?;
         let key: LeoKey = (
             [
                 a.position.lat_deg().to_bits(),
@@ -179,27 +169,22 @@ impl RaceEngine {
             ],
             constellation.to_string(),
         );
-        if let Some(hit) = self.leo_cache.lock().expect("leo cache").get(&key) {
-            return Ok(*hit);
-        }
-        let shell = self.constellation(constellation)?;
-        let leg = shell.route(a, b, 0.0).map(|r| LeoLeg {
-            latency_ms: r.latency_ms,
-            isl_hops: r.isl_hops as u64,
+        let (leg, _) = self.leo_cache.get(key, || {
+            shell.route(a, b, 0.0).map(|r| LeoLeg {
+                latency_ms: r.latency_ms,
+                isl_hops: r.isl_hops as u64,
+            })
         });
-        self.leo_cache
-            .lock()
-            .expect("leo cache")
-            .entry(key)
-            .or_insert(leg);
         Ok(leg)
     }
 
-    /// The §5 weather Monte Carlo for the corpus microwave route,
-    /// cached per `(licensee, epoch, pair, samples, seed)`.
-    /// Deterministic in `seed` (explicit ChaCha8 threading downstream).
+    /// The §5 weather Monte Carlo for `licensee`'s corpus microwave
+    /// route (`None` when there is none), cached per `(licensee, epoch,
+    /// pair, samples, seed)`. Deterministic in `seed` (explicit ChaCha8
+    /// threading downstream). Races read it for their weather windows;
+    /// the serve layer answers `Weather` requests with it.
     #[allow(clippy::too_many_arguments)]
-    fn weather_windows(
+    pub fn weather_windows(
         &self,
         session: &AnalysisSession<'_>,
         licensee: &str,
@@ -218,31 +203,16 @@ impl RaceEngine {
             samples,
             seed,
         );
-        if let Some(hit) = self.mc_cache.lock().expect("mc cache").get(&key) {
-            self.mc_hits.add(1);
-            // Zero-duration marker so a traced waterfall distinguishes a
-            // cache-served leg from a full Monte-Carlo run.
-            let _span = hft_obs::child_span("race.mc_cache_hit");
-            return *hit;
+        let (outcome, how) = self.mc_cache.get(key, || {
+            let network = session.network(licensee, date);
+            let rg = session.routing_graph(licensee, date, from, to);
+            let sampler = WeatherSampler::stormy_season();
+            conditional_latency_on(&rg, &network, from, to, &sampler, samples, seed)
+        });
+        match how {
+            Outcome::Filled => self.mc_misses.add(1),
+            Outcome::Hit | Outcome::Waited => self.mc_hits.add(1),
         }
-        self.mc_misses.add(1);
-        let _span = hft_obs::span("race.weather_mc");
-        let network = session.network(licensee, date);
-        let rg = session.routing_graph(licensee, date, from, to);
-        let outcome = conditional_latency_on(
-            &rg,
-            &network,
-            from,
-            to,
-            &WeatherSampler::stormy_season(),
-            samples,
-            seed,
-        );
-        self.mc_cache
-            .lock()
-            .expect("mc cache")
-            .entry(key)
-            .or_insert(outcome);
         outcome
     }
 

@@ -19,10 +19,14 @@
 //!
 //! The weather leg reuses the §5 Monte Carlo
 //! ([`hft_core::weather::conditional_latency_on`]), deterministic per
-//! seed, and its outcomes are cached per `(licensee, epoch, pair,
-//! samples, seed)` so repeated races over a stable corpus epoch are
-//! cache hits — observable as `race.mc_cache{outcome=hit|miss}` in the
-//! global registry, alongside the `race.compute_ns` histogram.
+//! seed, and its outcomes are memoized ([`hft_core::memo::Memo`]) per
+//! `(licensee, epoch, pair, samples, seed)` in
+//! [`RaceEngine::weather_windows`], which also answers the serve
+//! layer's `Weather` requests. Repeated races and weather queries over a
+//! stable corpus epoch, and a race after a weather query with the same
+//! samples and seed, are cache hits — observable as
+//! `race.mc_cache{outcome=hit|miss}` in the global registry, alongside
+//! the `race.compute_ns` histogram.
 //!
 //! ```
 //! use hft_race::RaceEngine;

@@ -494,100 +494,4 @@ impl Request {
     pub fn kind(&self) -> &'static str {
         self.wire_type()
     }
-
-    /// The single-flight identity of this request, or `None` for
-    /// control requests (`stats`, `metrics`, `shutdown`) that are never
-    /// coalesced.
-    ///
-    /// Date-bearing requests key on the licensee's **epoch** under the
-    /// session's corpus, not the raw date: two requests for dates inside
-    /// the same lifecycle epoch are provably the same computation (see
-    /// `hft_core::session`), so they coalesce too. `epoch_of` is the
-    /// session's resolver.
-    pub fn flight_key(&self, epoch_of: &dyn Fn(&str, Date) -> usize) -> Option<String> {
-        let b = |x: f64| x.to_bits();
-        match self {
-            Request::Geographic {
-                lat_deg,
-                lon_deg,
-                radius_km,
-            } => Some(format!(
-                "geo|{:016x}|{:016x}|{:016x}",
-                b(*lat_deg),
-                b(*lon_deg),
-                b(*radius_km)
-            )),
-            Request::SiteSearch { service, class } => Some(format!("site|{service}|{class}")),
-            Request::Shortlist {
-                lat_deg,
-                lon_deg,
-                radius_km,
-                min_filings,
-            } => Some(format!(
-                "short|{:016x}|{:016x}|{:016x}|{min_filings}",
-                b(*lat_deg),
-                b(*lon_deg),
-                b(*radius_km)
-            )),
-            Request::Network { licensee, date } => {
-                // The exact as-of date is restamped on the response, so
-                // the key carries the date itself, not just the epoch.
-                Some(format!(
-                    "net|{licensee}|e{}|{}",
-                    epoch_of(licensee, *date),
-                    date.to_iso()
-                ))
-            }
-            Request::Route {
-                licensee,
-                date,
-                from,
-                to,
-            } => Some(format!(
-                "route|{licensee}|e{}|{from}|{to}",
-                epoch_of(licensee, *date)
-            )),
-            Request::Apa {
-                licensee,
-                date,
-                from,
-                to,
-            } => Some(format!(
-                "apa|{licensee}|e{}|{from}|{to}",
-                epoch_of(licensee, *date)
-            )),
-            Request::Weather {
-                licensee,
-                date,
-                from,
-                to,
-                samples,
-                seed,
-            } => Some(format!(
-                "wx|{licensee}|e{}|{from}|{to}|{samples}|{seed}",
-                epoch_of(licensee, *date)
-            )),
-            Request::Race {
-                licensee,
-                date,
-                from,
-                to,
-                constellation,
-                samples,
-                seed,
-            } => Some(format!(
-                "race|{licensee}|e{}|{from}|{to}|{constellation}|{samples}|{seed}",
-                epoch_of(licensee, *date)
-            )),
-            Request::StretchSweep {
-                licensee,
-                date,
-                constellation,
-            } => Some(format!(
-                "sweep|{licensee}|e{}|{constellation}",
-                epoch_of(licensee, *date)
-            )),
-            Request::Stats | Request::Metrics | Request::Traces { .. } | Request::Shutdown => None,
-        }
-    }
 }

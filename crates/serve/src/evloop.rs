@@ -1,19 +1,19 @@
 //! The event-driven transport: one readiness loop multiplexing every
-//! connection over a [`Poller`](crate::poll::Poller), with no thread
+//! connection over a [`Poller`], with no thread
 //! per connection.
 //!
 //! The loop is protocol-agnostic: it owns sockets, readiness, pooled
 //! write buffers and vectored flushes, while each connection's *bytes*
 //! are interpreted by a [`ConnDriver`]. The wire protocol (length-
 //! prefixed frames, hello negotiation, binary codec) is one driver —
-//! [`WireDriver`], installed for connections accepted on the primary
+//! `WireDriver`, installed for connections accepted on the primary
 //! listener — and additional listeners may be registered with their own
 //! [`DriverFactory`] (the HTTP explorer in `hft-http` is one), all
 //! multiplexed on the same poller, worker pool and admission queue.
 //!
 //! Division of labor per event-loop round:
 //!
-//! 1. drain the [`Waker`](crate::poll::Waker) (pool workers poke it when
+//! 1. drain the [`Waker`] (pool workers poke it when
 //!    they fill a response slot),
 //! 2. accept any pending connections on any listener (nonblocking,
 //!    until `WouldBlock`), installing the listener's driver,

@@ -3,28 +3,29 @@
 //!
 //! The crate is layered, transport-last:
 //!
-//! 1. [`api`] — the typed [`Request`](api::Request)/[`Response`](api::Response)
+//! 1. [`api`] — the typed [`Request`]/[`Response`]
 //!    enums, declared once as a table from which `codec` generates both
 //!    the deterministic JSON codec and the [`binwire`] binary codec.
 //! 2. [`service`] — the in-process query engine; TCP is a wrapper around
-//!    [`Service::handle`](service::Service::handle).
-//! 3. [`singleflight`] — concurrent identical cold requests coalesce
-//!    onto one session computation.
-//! 4. [`pool`] — bounded FIFO admission with explicit `Overloaded`
+//!    [`Service::handle`](service::Service::handle). Its session and
+//!    race memos ([`hft_core::memo`]) make concurrent identical cold
+//!    work run once.
+//! 3. [`pool`] — bounded FIFO admission with explicit `Overloaded`
 //!    backpressure; never unbounded buffering.
-//! 5. [`wire`] + [`evloop`] + [`server`] — length-prefixed frames over
+//! 4. [`wire`] + [`evloop`] + [`server`] — length-prefixed frames over
 //!    TCP, one readiness loop answering every connection in request
 //!    order, and a blocking/pipelining client.
-//! 6. [`live`] — a generation-following engine over an ingest
+//! 5. [`live`] — a generation-following engine over an ingest
 //!    [`SnapshotStore`](hft_ingest::SnapshotStore): one
-//!    [`Service`](service::Service) per published corpus, swapped when
+//!    [`Service`] per published corpus, swapped when
 //!    the ingest applier publishes a new one (and only relabelled when
 //!    a publish keeps the corpus), so session memoization can never
 //!    serve a stale corpus.
 //!
 //! Observability lives in [`stats`]: every admission, rejection, queue
-//! wait, service time, and single-flight outcome is counted and exposed
-//! through the `stats` request and the shutdown dump.
+//! wait, service time, and flight outcome (led, or coalesced onto
+//! another request's memo fill) is counted and exposed through the
+//! `stats` request and the shutdown dump.
 
 // Unsafe is denied crate-wide; the one exception is the raw epoll
 // syscall shim in `poll::sys`, which carries a module-scoped allow.
@@ -42,7 +43,6 @@ pub mod pool;
 pub mod router;
 pub mod server;
 pub mod service;
-pub mod singleflight;
 pub mod stats;
 pub mod wire;
 

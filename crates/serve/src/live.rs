@@ -3,9 +3,9 @@
 //!
 //! The invariant that makes this safe is *one engine per corpus*: each
 //! published corpus gets its own [`Service`] — fresh `AnalysisSession`
-//! memoization caches, fresh single-flight group — built over a shared
-//! handle to that corpus. Cache invalidation is therefore by
-//! construction, not by bookkeeping: a network memoized against
+//! and race-engine memos — built over a shared handle to that corpus.
+//! Cache invalidation is therefore by construction, not by
+//! bookkeeping: a network memoized against
 //! generation *N*'s corpus lives in that corpus's engine, which no
 //! request routed after a swap to a different corpus can reach.
 //! Requests already inside the old engine finish against it — the

@@ -4,7 +4,7 @@
 //! admission queue, pool workers) runs over a fleet unchanged. Each
 //! shard worker is a [`LiveService`] following its own per-shard
 //! [`SnapshotStore`](hft_ingest::SnapshotStore) — its own
-//! `AnalysisSession`, single-flight group and shard-labeled
+//! `AnalysisSession`, race-engine memos and shard-labeled
 //! [`ServeStats`] — over the shard's disjoint piece of the corpus. A
 //! shard worker is state, not a thread: every leg of a request runs on
 //! the pool worker answering it.
@@ -22,7 +22,7 @@
 //!   license searches k-way-merge ascending ids, funnel counters sum
 //!   (licensee-granular partitioning makes per-shard counts disjoint),
 //!   and shortlist names merge sorted. The merged bytes are identical
-//!   to a single-corpus [`Service`](crate::service::Service) answer.
+//!   to a single-corpus [`Service`] answer.
 //!
 //! **Generation-vector pinning:** a scatter captures every shard's
 //! current engine in one pass *before* any leg runs, so all per-shard
@@ -203,8 +203,8 @@ impl Handler for ShardRouter {
         &self.stats
     }
 
-    /// Transport counters from the router, single-flight and swap
-    /// counters summed over the shard workers' own stats. Reads no
+    /// Transport counters from the router, flight and swap counters
+    /// summed over the shard workers' own stats. Reads no
     /// engine, so it never triggers a generation swap.
     fn serve_snapshot(&self) -> ServeSnapshot {
         let mut serve = self.stats.snapshot();
@@ -584,7 +584,7 @@ mod tests {
             assert!(b.start_ns >= a.start_ns + a.dur_ns, "legs run in turn");
         }
         // Every span inside leg k reads shard k, and each leg has work
-        // inside it (single-flight, the scrape).
+        // inside it (the cold scrape's memo fill).
         let mut inside = [0usize; 4];
         for (i, span) in spans.iter().enumerate() {
             let mut up = span.parent;

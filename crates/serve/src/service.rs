@@ -1,5 +1,6 @@
 //! The in-process query engine: dispatches typed [`Request`]s onto an
-//! [`AnalysisSession`] behind the single-flight layer.
+//! [`AnalysisSession`] and a [`RaceEngine`], whose memos make
+//! concurrent identical work run once.
 //!
 //! This is the same object whether the caller is a TCP connection
 //! handler or a local thread — the wire server is a transport wrapper
@@ -7,14 +8,12 @@
 //! equal direct-session bytes" a testable property.
 
 use crate::api::{Request, Response, SweepEntry};
-use crate::singleflight::Group;
 use crate::stats::{ServeSnapshot, ServeStats};
 use hft_core::corridor::{DataCenter, CME, EQUINIX_NY4, NASDAQ, NYSE};
+use hft_core::memo;
 use hft_core::session::AnalysisSession;
-use hft_core::weather;
 use hft_geodesy::LatLon;
 use hft_race::{RaceEngine, RaceOutcome};
-use hft_radio::WeatherSampler;
 use hft_uls::scrape::ScrapeConfig;
 use hft_uls::{RadioService, StationClass, UlsDatabase, UlsPortal};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,20 +46,18 @@ pub trait Handler: Sync {
     }
 }
 
-/// The query engine: one shared [`AnalysisSession`] plus the
-/// single-flight group and the serving-layer counters.
+/// The query engine: one shared [`AnalysisSession`] and [`RaceEngine`]
+/// plus the serving-layer counters.
 ///
-/// A `Service` is pinned to exactly one corpus: its session caches and
-/// its single-flight group never see requests against another corpus
-/// (flight keys carry the generation number, and a live server builds
-/// a fresh `Service` whenever a publish brings a new corpus), so a
-/// stale memoized network can never answer a post-swap query. A publish
-/// that hands back the very corpus the engine reads only relabels it
-/// with the new generation number.
+/// A `Service` is pinned to exactly one corpus: its session and race
+/// memos never see requests against another corpus (a live server
+/// builds a fresh `Service` whenever a publish brings a new corpus), so
+/// a stale memoized network can never answer a post-swap query. A
+/// publish that hands back the very corpus the engine reads only
+/// relabels it with the new generation number.
 pub struct Service<'a> {
     session: AnalysisSession<'a>,
     generation: AtomicU64,
-    flights: Group<Response>,
     stats: Arc<ServeStats>,
     race: RaceEngine,
 }
@@ -72,7 +69,6 @@ impl<'a> Service<'a> {
         Service {
             session: AnalysisSession::new(db),
             generation: AtomicU64::new(0),
-            flights: Group::new(),
             stats: Arc::new(ServeStats::default()),
             race: RaceEngine::new(),
         }
@@ -90,7 +86,6 @@ impl<'a> Service<'a> {
         Service {
             session: AnalysisSession::shared(db),
             generation: AtomicU64::new(generation),
-            flights: Group::new(),
             stats,
             race: RaceEngine::new(),
         }
@@ -137,31 +132,31 @@ impl<'a> Service<'a> {
             .expect("service sessions always carry a portal")
     }
 
-    /// Answer one request, coalescing concurrent identical work.
+    /// Answer one request. Safe to call from many threads at once; this
+    /// is the entry point pool workers use.
     ///
-    /// Safe to call from many threads at once; this is the entry point
-    /// pool workers use.
+    /// Every request but the telemetry and shutdown kinds counts as one
+    /// flight: coalesced when it waited on a memo cell another request
+    /// was filling, led otherwise.
     pub fn handle(&self, req: &Request) -> Response {
-        let epoch_of = |licensee: &str, date| self.session.epoch(licensee, date);
-        match req.flight_key(&epoch_of) {
-            None => self.compute(req),
-            Some(key) => {
-                // The generation prefix keeps coalescing within one
-                // corpus generation even if a Group were ever shared.
-                let key = format!("g{}|{key}", self.generation());
-                let (response, leader) = self.flights.run(&key, || self.compute(req));
-                if leader {
-                    self.stats.on_flight_led();
-                } else {
-                    self.stats.on_flight_coalesced();
-                }
-                response
-            }
+        if matches!(
+            req,
+            Request::Stats | Request::Metrics | Request::Traces { .. } | Request::Shutdown
+        ) {
+            return self.compute(req);
         }
+        memo::take_waited(); // a mark left by work outside a request
+        let response = self.compute(req);
+        if memo::take_waited() {
+            self.stats.on_flight_coalesced();
+        } else {
+            self.stats.on_flight_led();
+        }
+        response
     }
 
-    /// The uncoalesced computation: one direct [`AnalysisSession`] (or
-    /// portal) call per request kind.
+    /// One direct [`AnalysisSession`], [`RaceEngine`] or portal call per
+    /// request kind.
     fn compute(&self, req: &Request) -> Response {
         match req {
             Request::Geographic {
@@ -260,11 +255,14 @@ impl<'a> Service<'a> {
                     if *samples == 0 || *samples > 1_000_000 {
                         return err(format!("samples must be in 1..=1000000, got {samples}"));
                     }
-                    let net = self.session.network(licensee, *date);
-                    let rg = self.session.routing_graph(licensee, *date, a, b);
-                    let sampler = WeatherSampler::stormy_season();
-                    match weather::conditional_latency_on(
-                        &rg, &net, a, b, &sampler, *samples, *seed,
+                    match self.race.weather_windows(
+                        &self.session,
+                        licensee,
+                        *date,
+                        a,
+                        b,
+                        *samples,
+                        *seed,
                     ) {
                         None => err(format!("{licensee}: no route {from}->{to}")),
                         Some(o) => Response::Weather {

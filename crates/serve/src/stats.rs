@@ -1,5 +1,5 @@
 //! Serving-layer observability: atomic counters aggregated across
-//! connection handlers, pool workers and the single-flight layer, with a
+//! connection handlers, pool workers and the query engine, with a
 //! consistent-enough snapshot for the `stats` request and the shutdown
 //! dump.
 
@@ -126,13 +126,15 @@ impl ServeStats {
         }
     }
 
-    /// A single-flight group resolved: the leader ran the computation.
+    /// A request was answered without waiting on another request's
+    /// memo fill.
     pub fn on_flight_led(&self) {
         self.flights_led.fetch_add(1, Ordering::Relaxed);
         self.reg.flights_led.incr();
     }
 
-    /// A request coalesced onto an in-flight leader's computation.
+    /// A request waited on a memo cell another request was filling,
+    /// and shared its result.
     pub fn on_flight_coalesced(&self) {
         self.flights_coalesced.fetch_add(1, Ordering::Relaxed);
         self.reg.flights_coalesced.incr();
@@ -192,9 +194,11 @@ pub struct ServeSnapshot {
     pub completed: u64,
     /// Responses that were protocol errors.
     pub errors: u64,
-    /// Single-flight computations actually run (leaders).
+    /// Non-telemetry requests that waited on no other request's memo
+    /// fill (leaders).
     pub flights_led: u64,
-    /// Requests that coalesced onto a leader instead of recomputing.
+    /// Requests that waited on a memo cell another request was filling
+    /// instead of recomputing.
     pub flights_coalesced: u64,
     /// Total nanoseconds requests spent queued.
     pub queue_wait_ns_total: u64,

@@ -1,6 +1,6 @@
 //! A fleet's shutdown snapshot must report the work its shard workers
 //! counted: the `ServeSnapshot` that `Server::run_with` returns for a
-//! `ShardRouter` carries the same single-flight and swap counters as
+//! `ShardRouter` carries the same flight and swap counters as
 //! the fleet's last `stats` answer, not only the router's transport
 //! counters.
 

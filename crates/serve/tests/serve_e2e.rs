@@ -1,6 +1,6 @@
 //! End-to-end service tests over the calibrated Chicago–NJ corpus:
-//! single-flight cold-request coalescing, byte-identical wire answers,
-//! pipelined in-order delivery, and graceful shutdown.
+//! cold-request coalescing in the session memos, byte-identical wire
+//! answers, pipelined in-order delivery, and graceful shutdown.
 
 use hft_corridor::{chicago_nj, generate, GeneratedEcosystem};
 use hft_serve::api::{Request, Response};
@@ -17,10 +17,10 @@ fn paper_date() -> Date {
     Date::new(2020, 4, 1).unwrap()
 }
 
-/// Satellite check: N threads issuing the same *cold* request must
-/// observe exactly one underlying session computation. The session's own
-/// cache cannot provide this (it deliberately computes outside its
-/// locks); the single-flight layer must.
+/// N threads issuing the same *cold* request must observe exactly one
+/// underlying session computation: the first miss fills the network's
+/// memo cell while the others wait for it. Every request counts as one
+/// flight, led or coalesced.
 #[test]
 fn concurrent_cold_requests_reconstruct_once() {
     let eco = eco();
