@@ -15,7 +15,7 @@
 //!
 //! A waiter blocks until the filler's fill returns, so a fill must never
 //! wait, directly or through other memos, on a cell that waits on it.
-//! The rule that rules this out: **a fill reads only memos below its
+//! The rule that prevents it: **a fill reads only memos below its
 //! own**, in one fixed order —
 //!
 //! ```text
@@ -85,7 +85,9 @@ impl<K: Eq + Hash, V: Clone> Memo<K, V> {
     /// caller's value.
     pub fn get(&self, key: K, fill: impl FnOnce() -> V) -> (V, Outcome) {
         let cell = {
-            let mut cells = self.cells.lock().expect("memo map");
+            // Poisoned only by a panic while hashing or cloning under the
+            // lock; fills run outside it.
+            let mut cells = self.cells.lock().expect("memo map poisoned");
             let cell = cells.entry(key).or_default();
             if let Some(value) = cell.get() {
                 return (value.clone(), Outcome::Hit);
