@@ -11,8 +11,8 @@
 //!
 //! For each fleet size N the harness seeds an [`Applier`] with the
 //! first half of the rendered dump history, partitions the corpus into
-//! an N-shard [`ShardedStore`], and serves it over a [`ShardRouter`]
-//! through [`load::serve_under_ingest`]. A publisher thread replays the
+//! an N-shard [`ShardedStore`], and serves it over a
+//! [`hft_serve::ShardRouter`] through [`load::serve_under_ingest`]. A publisher thread replays the
 //! remaining batches, republishing the fleet (every shard, in lockstep)
 //! every few batches, while client threads hammer the server with a
 //! mixed point-to-point + scatter-gather workload.
@@ -26,18 +26,17 @@
 //! When a fleet publish lands mid-flight (mixed or advanced vector) the
 //! answer counts as `unpinned`.
 //!
-//! Latencies are attributed client-side: under the licensee-hash
-//! strategy a licensee-bearing request's owning shard is a pure
-//! function of the name, so each request lands in a per-shard bucket
-//! (scatter-gather requests land in a final `broadcast` bucket), and
-//! the report breaks out p50/p90/p99 per bucket next to the merged
+//! Latencies are attributed client-side: a licensee-bearing request
+//! lands in its owning shard's bucket (the owner when serving starts;
+//! under the spatial strategy a licensee can move shards as it files),
+//! scatter-gather requests land in a final `broadcast` bucket, and the
+//! report breaks out p50/p90/p99 per bucket next to the merged
 //! percentiles.
 
 use hft_bench::load::{self, Flags, IngestPlan, Json};
 use hft_bench::{obj, REPRO_SEED};
 use hft_ingest::{Applier, DumpBatch, ShardedStore};
 use hft_serve::api::Request;
-use hft_serve::ShardRouter;
 use hft_time::Date;
 use hft_uls::shard::{shard_of_licensee, ShardStrategy};
 
@@ -131,27 +130,18 @@ fn run_fleet(
     batches: &[DumpBatch],
     mix: &[Request],
 ) -> Result<Json, String> {
-    let attr = load::attribution(mix, shards, args.strategy);
     let plan = IngestPlan {
         batches,
         mix,
-        attr: &attr,
         seconds: args.seconds,
         concurrency: args.concurrency,
         publish_every: args.publish_every,
     };
     eprint!("fleet n={shards} ({}): ", args.strategy.name());
     let open = |applier: &Applier| {
-        let fleet = ShardedStore::seeded(applier.db(), shards, args.strategy, applier.last_date());
-        let router = ShardRouter::over(&fleet);
-        (fleet, router)
+        ShardedStore::seeded(applier.db(), shards, args.strategy, applier.last_date())
     };
-    let run = load::serve_under_ingest(
-        &plan,
-        open,
-        ShardedStore::generation_vector,
-        Applier::publish_sharded,
-    )?;
+    let run = load::serve_under_ingest(&plan, open, Applier::publish_sharded)?;
     let t = &run.tally;
     if t.wrong > 0 {
         return Err(format!(

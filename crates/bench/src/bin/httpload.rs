@@ -1,5 +1,5 @@
-//! `httpload` — the hft-http load harness: self-host a server with the
-//! HTTP explorer on the evented loop, replay a mixed GET/POST workload
+//! `httpload` — the hft-http load harness: self-host a one-shard fleet
+//! with the HTTP explorer on the evented loop, replay a mixed GET/POST workload
 //! over keep-alive connections, and write per-route-class latency
 //! percentiles to `BENCH_http.json` at the workspace root.
 //!
@@ -11,8 +11,8 @@
 //! (pooled network reconstruction + inline SVG render), the funnel page
 //! (pooled scrape), the corpus index and `/metrics` (rendered on the
 //! loop), and `POST /api` carrying wire requests. Every API answer is
-//! byte-compared against the in-process `Service::handle` encoding of
-//! the same request — the explorer's acceptance bar is that HTTP
+//! byte-compared against a separate single-corpus `Service`'s encoding
+//! of the same request — the explorer's acceptance bar is that HTTP
 //! answers are byte-identical to wire answers — and any mismatch fails
 //! the run. `503` answers are backpressure, not errors: counted,
 //! retried, excluded from latency.
@@ -20,9 +20,11 @@
 use hft_bench::load::{self, Flags, Tally};
 use hft_bench::{obj, REPRO_SEED};
 use hft_http::HttpExplorer;
+use hft_ingest::ShardedStore;
 use hft_serve::evloop::ExtraListener;
-use hft_serve::{Request, ServeConfig, Service};
+use hft_serve::{Request, ServeConfig, Service, ShardRouter};
 use hft_time::Date;
+use hft_uls::shard::ShardStrategy;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -69,8 +71,8 @@ fn encode_segment(s: &str) -> String {
 
 /// The workload: every route class, licensee pages and API requests
 /// across the paper's connected-2020 networks. API expectations are
-/// computed from the same in-process service the server answers with.
-fn workload(service: &Service<'_>, licensees: &[String]) -> Vec<MixEntry> {
+/// computed by `reference`, not by the engine that serves them.
+fn workload(reference: &Service<'_>, licensees: &[String]) -> Vec<MixEntry> {
     let date = Date::new(2020, 4, 1).expect("valid date");
     let mut mix = vec![
         get_entry(R_INDEX, "/"),
@@ -111,7 +113,7 @@ fn workload(service: &Service<'_>, licensees: &[String]) -> Vec<MixEntry> {
         mix.push(MixEntry {
             class: R_API,
             raw,
-            expected: Some(service.handle(&request).encode()),
+            expected: Some(reference.handle(&request).encode()),
         });
     }
     mix
@@ -224,19 +226,20 @@ fn run() -> Result<(), String> {
     let eco = load::corpus(seed);
     let mut licensees = eco.connected_2020.clone();
     licensees.sort();
-    let service = Service::new(&eco.db);
-    let mix = workload(&service, &licensees);
+    let mix = workload(&Service::new(&eco.db), &licensees);
     eprintln!(
         "mix: {} entries over {} routes, {concurrency} clients, {seconds}s",
         mix.len(),
         ROUTES.len(),
     );
 
-    let explorer = HttpExplorer::new(&service);
+    let store = ShardedStore::seeded(&eco.db, 1, ShardStrategy::LicenseeHash, None);
+    let router = ShardRouter::over(&store);
+    let explorer = HttpExplorer::new(&router);
     let extra = ExtraListener::bind("127.0.0.1:0", &explorer).map_err(|e| format!("bind: {e}"))?;
     let http_addr = extra.local_addr().map_err(|e| format!("addr: {e}"))?;
     let before = hft_obs::global().snapshot();
-    let served = load::self_host(ServeConfig::default(), &service, &[extra], |_| {
+    let served = load::self_host(ServeConfig::default(), &router, &[extra], |_| {
         let started = Instant::now();
         let deadline = started + Duration::from_secs_f64(seconds);
         let mix = &mix;

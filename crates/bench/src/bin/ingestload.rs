@@ -14,12 +14,12 @@
 //! would) through the incremental [`hft_ingest::Applier`], publishing
 //! each batch, and reports events/second.
 //!
-//! Phase B seeds a [`hft_ingest::SnapshotStore`] with the first half of
-//! the history, serves it through a [`LiveService`], and ingests the
-//! remaining batches on a paced background thread while client threads
-//! hammer the server ([`load::serve_under_ingest`]). Each answer is
-//! *generation-bracketed*: the client reads the store generation before
-//! sending and after receiving. When the brackets agree the answer is
+//! Phase B seeds a one-shard [`ShardedStore`] with the first half of
+//! the history, serves it through a [`hft_serve::ShardRouter`], and
+//! ingests the remaining batches on a paced background thread while
+//! client threads hammer the server ([`load::serve_under_ingest`]). Each
+//! answer is *generation-bracketed*: the client reads the store
+//! generation before sending and after receiving. When the brackets agree the answer is
 //! attributable to exactly one corpus generation and must byte-match a
 //! reference service over that generation's from-scratch rebuild — a
 //! wrong answer is a hard failure, and a fault in the incrementally
@@ -29,12 +29,11 @@
 
 use hft_bench::load::{self, Flags, IngestPlan};
 use hft_bench::{obj, REPRO_SEED};
-use hft_ingest::{decode_batch, Applier, SnapshotStore};
+use hft_ingest::{decode_batch, Applier, ShardedStore, SnapshotStore};
 use hft_serve::api::Request;
-use hft_serve::LiveService;
 use hft_time::Date;
+use hft_uls::shard::ShardStrategy;
 use hft_uls::UlsDatabase;
-use std::sync::Arc;
 use std::time::Instant;
 
 const USAGE: &str = "usage: ingestload [--seconds S] [--concurrency N] [--publish-every N] \
@@ -136,23 +135,19 @@ fn run() -> Result<(), String> {
     let plan = IngestPlan {
         batches: &batches,
         mix: &mix,
-        attr: &[],
         seconds,
         concurrency,
         publish_every,
     };
     let open = |applier: &Applier| {
-        let store = Arc::new(SnapshotStore::new(UlsDatabase::new()));
-        applier.publish(&store);
-        let live = LiveService::new(Arc::clone(&store));
-        (store, live)
+        ShardedStore::seeded(
+            applier.db(),
+            1,
+            ShardStrategy::LicenseeHash,
+            applier.last_date(),
+        )
     };
-    let run = load::serve_under_ingest(
-        &plan,
-        open,
-        |store| vec![store.generation()],
-        |applier, store| applier.publish(store),
-    )?;
+    let run = load::serve_under_ingest(&plan, open, Applier::publish_sharded)?;
     let t = &run.tally;
     let swaps = run.stats.generation_swaps;
 

@@ -41,9 +41,10 @@
 
 use hft_bench::load::{self, Flags, Json, Tally};
 use hft_bench::{obj, REPRO_SEED};
+use hft_ingest::ShardedStore;
 use hft_obs::{HistDelta, RegistryDelta};
 use hft_serve::api::{Request, Response};
-use hft_serve::{Proto, ServeConfig, Service, WireTrace};
+use hft_serve::{Proto, ServeConfig, Service, ShardRouter, WireTrace};
 use hft_time::Date;
 use hft_uls::shard::ShardStrategy;
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -478,7 +479,10 @@ fn run() -> Result<(), String> {
     // server and lets the p90-vs-p50 queueing gap be pinned on a shard.
     let attr = match args.shards {
         0 => Vec::new(),
-        n => load::attribution(&mix, n, ShardStrategy::LicenseeHash),
+        n => {
+            let fleet = ShardedStore::seeded(&eco.db, n, ShardStrategy::LicenseeHash, None);
+            load::attribution(&mix, &ShardRouter::over(&fleet))
+        }
     };
     let replay = Replay {
         mix,

@@ -10,7 +10,7 @@
 //! * [`drive`] replays a mix with known answers over one pipelined
 //!   connection.
 //! * [`References`] holds one reference engine per corpus generation.
-//! * [`serve_under_ingest`] serves a store while the dump history
+//! * [`serve_under_ingest`] serves a fleet while the dump history
 //!   republishes it, byte-verifying every generation-pinned answer.
 //! * [`self_host`] runs a server on a free port around a body, then
 //!   pulls its slowest traces and shuts it down.
@@ -18,14 +18,14 @@
 //!   revision and `nproc`.
 
 use hft_corridor::{chicago_nj, generate, GeneratedEcosystem};
-use hft_ingest::{render_history, Applier, DumpBatch};
+use hft_ingest::{render_history, Applier, DumpBatch, ShardedStore};
 use hft_obs::{HistogramShard, HistogramSnapshot};
-use hft_serve::api::{Request, Response};
+use hft_serve::api::{Dispatch, Request, Response};
 use hft_serve::evloop::ExtraListener;
 use hft_serve::{
-    Client, Handler, Proto, ServeConfig, ServeSnapshot, ServeStats, Server, Service, WireTrace,
+    Client, Handler, Proto, ServeConfig, ServeSnapshot, ServeStats, Server, Service, ShardRouter,
+    WireTrace,
 };
-use hft_uls::shard::{shard_of_licensee, ShardStrategy};
 use hft_uls::UlsDatabase;
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
@@ -227,25 +227,15 @@ pub fn connect(addr: &SocketAddr, proto: Proto) -> Result<Client, String> {
     }
 }
 
-/// Which latency bucket each mix entry lands in on a `shards`-shard
-/// fleet routed by `strategy`, mirroring `ShardRouter`'s dispatch: a
-/// single-licensee request lands in its owning shard's bucket when the
-/// owner is a function of the name; every other request reaches every
-/// shard and lands in the last bucket, `broadcast`.
-pub fn attribution(mix: &[Request], shards: usize, strategy: ShardStrategy) -> Vec<usize> {
+/// Which latency bucket each mix entry lands in on `router`'s fleet, by
+/// its dispatch: a point request lands in its owning shard's bucket;
+/// every other request reaches every shard and lands in the last
+/// bucket, `broadcast`.
+pub fn attribution(mix: &[Request], router: &ShardRouter) -> Vec<usize> {
     mix.iter()
-        .map(|req| match req {
-            Request::Network { licensee, .. }
-            | Request::Route { licensee, .. }
-            | Request::Apa { licensee, .. }
-            | Request::Weather { licensee, .. }
-            | Request::Race { licensee, .. }
-            | Request::StretchSweep { licensee, .. }
-                if strategy.routes_by_name() =>
-            {
-                shard_of_licensee(licensee, shards) as usize
-            }
-            _ => shards,
+        .map(|req| match req.dispatch() {
+            Dispatch::Point(licensee) => router.owner(licensee).0,
+            _ => router.shards().len(),
         })
         .collect()
 }
@@ -551,9 +541,6 @@ pub struct IngestPlan<'a> {
     pub batches: &'a [DumpBatch],
     /// The requests each client cycles through.
     pub mix: &'a [Request],
-    /// Latency bucket per mix entry (see [`attribution`]); empty for no
-    /// breakout.
-    pub attr: &'a [usize],
     /// Wall time over which the second half is replayed.
     pub seconds: f64,
     /// Serial clients.
@@ -564,7 +551,9 @@ pub struct IngestPlan<'a> {
 
 /// What a [`serve_under_ingest`] run measured.
 pub struct Ingested {
-    /// Every client's answers, merged; `elapsed_s` is the serving time.
+    /// Every client's answers, merged, with latencies bucketed by the
+    /// shard each request reached (see [`attribution`]); `elapsed_s` is
+    /// the serving time.
     pub tally: Tally,
     /// The last published generation.
     pub generations: u64,
@@ -574,18 +563,17 @@ pub struct Ingested {
     pub stats: ServeSnapshot,
 }
 
-/// Serve a store while the second half of the history is applied and
-/// published underneath it, with every answer bracketed by generation
-/// reads and byte-verified when it is pinned.
+/// Serve a fleet through a [`ShardRouter`] while the second half of the
+/// history is applied and published underneath it, with every answer
+/// bracketed by generation-vector reads and byte-verified when it is
+/// pinned.
 ///
-/// `open` builds the store and its handler from the applier seeded with
-/// the first half. `generation_vector` reads the store's per-shard
-/// generations (a single store is a vector of length one) and `publish`
-/// publishes the applier's corpus, returning the new generation. Before
-/// each publish the from-scratch rebuild of the corpus is registered as
-/// that generation's reference, so a pinned answer always finds it, and
-/// a fault in the incrementally maintained indexes shows as a wrong
-/// answer.
+/// `open` builds the fleet from the applier seeded with the first half,
+/// and `publish` publishes the applier's corpus to it, returning the
+/// new generation. Before each publish the from-scratch rebuild of the
+/// corpus is registered as that generation's reference, so a pinned
+/// answer always finds it, and a fault in the incrementally maintained
+/// indexes shows as a wrong answer.
 ///
 /// Each client reads the generation vector before sending and after
 /// receiving. When both reads are equal and uniform, the answer belongs
@@ -593,11 +581,10 @@ pub struct Ingested {
 /// reference; otherwise a publish landed mid-flight and the answer
 /// counts as unpinned. Wrong answers are counted, not fatal: the caller
 /// judges the tally.
-pub fn serve_under_ingest<S: Sync, H: Handler>(
+pub fn serve_under_ingest(
     plan: &IngestPlan<'_>,
-    open: impl FnOnce(&Applier) -> (S, H),
-    generation_vector: impl Fn(&S) -> Vec<u64> + Sync,
-    publish: impl Fn(&Applier, &S) -> u64 + Sync,
+    open: impl FnOnce(&Applier) -> ShardedStore,
+    publish: impl Fn(&Applier, &ShardedStore) -> u64 + Sync,
 ) -> Result<Ingested, String> {
     let (seed, tail) = plan.batches.split_at(plan.batches.len() / 2);
     let mut applier = Applier::new(UlsDatabase::new());
@@ -606,29 +593,31 @@ pub fn serve_under_ingest<S: Sync, H: Handler>(
             return Err(format!("seed ingest conflict: {conflict}"));
         }
     }
-    let (store, handler) = open(&applier);
+    let store = open(&applier);
+    let router = ShardRouter::over(&store);
+    let attr = attribution(plan.mix, &router);
     let references = References::default();
-    let seeded = generation_vector(&store)[0];
+    let seeded = store.generation_vector()[0];
     references.register(seeded, Arc::new(applier.rebuild()));
     let pace = Duration::from_secs_f64(plan.seconds / tail.len().max(1) as f64);
     let done = AtomicBool::new(false);
 
     let client = |addr: SocketAddr, offset: usize| -> Result<Tally, String> {
         let mut wire = connect(&addr, Proto::Json)?;
-        let mut tally = Tally::for_attr(plan.attr);
+        let mut tally = Tally::for_attr(&attr);
         let mut next = offset % plan.mix.len();
         while !done.load(Ordering::Relaxed) {
             let (idx, request) = (next, &plan.mix[next]);
             next = (next + 1) % plan.mix.len();
-            let before = generation_vector(&store);
+            let before = store.generation_vector();
             let sent = Instant::now();
             let response = wire.call(request).map_err(|e| format!("load IO: {e}"))?;
             if response == Response::Overloaded {
                 tally.overloaded_retries += 1;
                 continue;
             }
-            tally.record(sent.elapsed(), plan.attr.get(idx).copied());
-            let after = generation_vector(&store);
+            tally.record(sent.elapsed(), Some(attr[idx]));
+            let after = store.generation_vector();
             let pinned = before == after && before.windows(2).all(|w| w[0] == w[1]);
             match references.engine(before[0]).filter(|_| pinned) {
                 None => tally.unpinned += 1,
@@ -649,10 +638,10 @@ pub fn serve_under_ingest<S: Sync, H: Handler>(
         ..ServeConfig::default()
     };
     let started = Instant::now();
-    let served = self_host(config, &handler, &[], |addr| {
+    let served = self_host(config, &router, &[], |addr| {
         eprintln!(
             "serving generation vector {:?} on {addr}; ingesting {} batches behind it...",
-            generation_vector(&store),
+            store.generation_vector(),
             tail.len(),
         );
         std::thread::scope(|scope| {

@@ -1,16 +1,16 @@
 //! The shared load harness under `cargo test`: flag parsing, tallies,
 //! the stamped report writer, per-generation references, attribution
-//! pinned to the router's dispatch, and serve-under-ingest on a single
-//! store and on a fleet — plus a negative control that shows the
-//! bracketed verifier can fail.
+//! pinned to the shards the router reaches, and serve-under-ingest on a
+//! one-shard fleet and on a larger one — plus a negative control that
+//! shows the bracketed verifier can fail.
 
 use hft_bench::load::{self, Flags, IngestPlan, Json, References, Tally};
 use hft_bench::obj;
 use hft_geodesy::LatLon;
-use hft_ingest::{render_history, Applier, ShardedStore, SnapshotStore};
+use hft_ingest::{render_history, Applier, ShardedStore};
 use hft_obs::HistogramShard;
 use hft_serve::api::Request;
-use hft_serve::{LiveService, Proto, ShardRouter};
+use hft_serve::{Proto, ShardRouter};
 use hft_time::Date;
 use hft_uls::shard::ShardStrategy;
 use hft_uls::{
@@ -271,38 +271,43 @@ fn attribution_names_exactly_the_shards_the_router_reaches() {
         for shards in 1..=5 {
             let fleet = ShardedStore::seeded(&db, shards, strategy, None);
             let router = ShardRouter::over(&fleet);
+            let owners = hft_uls::shard::assign(&db, shards, strategy);
             let received = || -> Vec<u64> {
                 let workers = router.shards().iter();
                 workers.map(|w| w.stats().snapshot().received).collect()
             };
             for licensee in LICENSEES {
                 let mix = every_data_variant(licensee);
-                let attr = load::attribution(&mix, shards, strategy);
+                let attr = load::attribution(&mix, &router);
                 for (request, &bucket) in mix.iter().zip(&attr) {
                     let before = received();
                     router.handle(request);
                     let moved: Vec<usize> =
                         (0..shards).filter(|&k| received()[k] > before[k]).collect();
-                    let want: Vec<usize> = match bucket {
+                    // Searches reach every shard; a licensee's requests
+                    // reach the one shard the partition gave it.
+                    let want: Vec<usize> = match request {
+                        Request::Geographic { .. }
+                        | Request::SiteSearch { .. }
+                        | Request::Shortlist { .. } => (0..shards).collect(),
+                        _ => vec![owners[licensee] as usize],
+                    };
+                    let named: Vec<usize> = match bucket {
                         b if b == shards => (0..shards).collect(),
                         owner => vec![owner],
                     };
                     assert_eq!(moved, want, "{strategy:?} n={shards} {request:?}");
+                    assert_eq!(named, want, "{strategy:?} n={shards} {request:?}");
                 }
             }
         }
     }
 }
 
-fn plan<'a>(
-    batches: &'a [hft_ingest::DumpBatch],
-    mix: &'a [Request],
-    attr: &'a [usize],
-) -> IngestPlan<'a> {
+fn plan<'a>(batches: &'a [hft_ingest::DumpBatch], mix: &'a [Request]) -> IngestPlan<'a> {
     IngestPlan {
         batches,
         mix,
-        attr,
         seconds: 0.3,
         concurrency: 2,
         publish_every: 1,
@@ -314,24 +319,19 @@ fn serve_under_ingest_verifies_a_single_store() {
     let batches = render_history(&licenses());
     let mix = ingest_mix(&LICENSEES);
     let open = |applier: &Applier| {
-        let store = Arc::new(SnapshotStore::new(UlsDatabase::new()));
-        applier.publish(&store);
-        (Arc::clone(&store), LiveService::new(store))
+        let strategy = ShardStrategy::LicenseeHash;
+        ShardedStore::seeded(applier.db(), 1, strategy, applier.last_date())
     };
-    let run = load::serve_under_ingest(
-        &plan(&batches, &mix, &[]),
-        open,
-        |store| vec![store.generation()],
-        |applier, store| applier.publish(store),
-    )
-    .unwrap();
+    let run =
+        load::serve_under_ingest(&plan(&batches, &mix), open, Applier::publish_sharded).unwrap();
     let t = &run.tally;
     assert_eq!(t.wrong, 0, "{:?}", t.first_mismatch);
     assert!(t.verified > 0);
     assert_eq!(t.completed, t.verified + t.unpinned);
+    // Seeded at generation 0: one publish per tail batch, plus the last.
     assert_eq!(
         run.generations,
-        2 + (batches.len() - batches.len() / 2) as u64
+        1 + (batches.len() - batches.len() / 2) as u64
     );
 }
 
@@ -339,20 +339,12 @@ fn serve_under_ingest_verifies_a_single_store() {
 fn serve_under_ingest_verifies_a_fleet() {
     let batches = render_history(&licenses());
     let mix = ingest_mix(&LICENSEES);
-    let strategy = ShardStrategy::LicenseeHash;
-    let attr = load::attribution(&mix, 2, strategy);
     let open = |applier: &Applier| {
-        let fleet = ShardedStore::seeded(applier.db(), 2, strategy, applier.last_date());
-        let router = ShardRouter::over(&fleet);
-        (fleet, router)
+        let strategy = ShardStrategy::LicenseeHash;
+        ShardedStore::seeded(applier.db(), 2, strategy, applier.last_date())
     };
-    let run = load::serve_under_ingest(
-        &plan(&batches, &mix, &attr),
-        open,
-        ShardedStore::generation_vector,
-        Applier::publish_sharded,
-    )
-    .unwrap();
+    let run =
+        load::serve_under_ingest(&plan(&batches, &mix), open, Applier::publish_sharded).unwrap();
     let t = &run.tally;
     assert_eq!(t.wrong, 0, "{:?}", t.first_mismatch);
     assert!(t.verified > 0);
@@ -371,16 +363,12 @@ fn serve_under_ingest_counts_answers_its_reference_cannot_match() {
     let open = |applier: &Applier| {
         let mut served = applier.db().licenses().to_vec();
         served.push(license(40, "Zeta Links"));
-        let db = Arc::new(UlsDatabase::from_licenses(served));
-        let store = Arc::new(SnapshotStore::seeded(db, applier.last_date()));
-        (Arc::clone(&store), LiveService::new(store))
+        let db = UlsDatabase::from_licenses(served);
+        ShardedStore::seeded(&db, 1, ShardStrategy::LicenseeHash, applier.last_date())
     };
-    let run = load::serve_under_ingest(
-        &plan(&batches, &mix, &[]),
-        open,
-        |store| vec![store.generation()],
-        |_, store| store.generation(),
-    )
+    let run = load::serve_under_ingest(&plan(&batches, &mix), open, |_, store| {
+        store.generation_vector()[0]
+    })
     .unwrap();
     let t = &run.tally;
     assert_eq!(run.generations, 0);

@@ -16,8 +16,18 @@
 //!   connection's queue holds the [`ResponseSlot`], and the page is
 //!   finished (rendered or byte-encoded) when the slot fills. This
 //!   keeps reconstruction/scrape work off the event loop *and* warms
-//!   the owning engine's memoization, so a page's follow-up session
-//!   visit is a cache hit (see [`HttpHost`]).
+//!   the owning engine's memoization, so the licensee page's follow-up
+//!   read of the network geometry is a cache hit.
+//!
+//! The wire answers count; pages also need geometry (where a network's
+//! towers stand), so the explorer reads engines straight from the
+//! [`ShardRouter`]: a licensee page from [`ShardRouter::owner`], the
+//! index and evolution pages from [`ShardRouter::engines`]. Each read
+//! pins an engine with its corpus generation, so a page renders one
+//! consistent corpus while the ingest applier publishes. A swap between
+//! the pooled request and the render can make the render recompute on
+//! the loop; that is rare (one page per publish) and bounded by one
+//! request's work.
 //!
 //! The JSON API (`POST /api`) decodes a wire request from the body and
 //! answers `handler.handle(request)` bytes verbatim — the HTTP answer
@@ -25,7 +35,6 @@
 //! `httpload` bench asserts. `shutdown` is the one request HTTP
 //! refuses (403): browsers must not be able to stop the fleet.
 
-use crate::host::HttpHost;
 use crate::pages::{self, CorpusRow, HTML_CONTENT_TYPE};
 use crate::parser::{HttpRequest, RequestParser};
 use crate::response::write_response;
@@ -33,9 +42,9 @@ use hft_core::corridor::{CME, EQUINIX_NY4, NASDAQ, NYSE};
 use hft_obs::expo::PROMETHEUS_CONTENT_TYPE;
 use hft_serve::evloop::{ConnDriver, DriverCx, DriverFactory};
 use hft_serve::pool::{ResponseSlot, SubmitError};
-use hft_serve::{Request, Response};
+use hft_serve::{Dispatch, Request, Response, ShardRouter};
 use hft_time::Date;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -52,25 +61,24 @@ fn default_date() -> Date {
     Date::new(2020, 4, 1).expect("valid default date")
 }
 
-/// [`DriverFactory`] serving the explorer over `host`. Register with
+/// [`DriverFactory`] serving the explorer over a fleet. Register with
 /// [`ExtraListener`](hft_serve::ExtraListener) on the wire server's
 /// readiness loop.
-pub struct HttpExplorer<'h, H: HttpHost + Sync> {
-    host: &'h H,
+pub struct HttpExplorer<'h> {
+    router: &'h ShardRouter,
 }
 
-impl<'h, H: HttpHost + Sync> HttpExplorer<'h, H> {
-    /// An explorer over the given engine (a `Service`, `LiveService`,
-    /// or `ShardRouter`).
-    pub fn new(host: &'h H) -> HttpExplorer<'h, H> {
-        HttpExplorer { host }
+impl<'h> HttpExplorer<'h> {
+    /// An explorer over `router`'s fleet.
+    pub fn new(router: &'h ShardRouter) -> HttpExplorer<'h> {
+        HttpExplorer { router }
     }
 }
 
-impl<H: HttpHost + Sync> DriverFactory for HttpExplorer<'_, H> {
+impl DriverFactory for HttpExplorer<'_> {
     fn new_conn(&self) -> Box<dyn ConnDriver + '_> {
         Box::new(HttpConn {
-            host: self.host,
+            router: self.router,
             parser: RequestParser::new(),
             outq: VecDeque::new(),
             closed: false,
@@ -82,9 +90,9 @@ impl<H: HttpHost + Sync> DriverFactory for HttpExplorer<'_, H> {
 enum Finish {
     /// `POST /api`: the wire response's own bytes.
     Api,
-    /// A licensee page: counts from the wire response, geometry from a
-    /// generation-pinned session visit (a cache hit — the pooled
-    /// request just computed it).
+    /// A licensee page: counts from the wire response, geometry from
+    /// the owning engine (a cache hit: the pooled request just computed
+    /// it).
     Licensee { name: String, date: Date },
     /// The funnel page: rendered entirely from the wire response.
     Funnel { radius_km: f64, min_filings: usize },
@@ -119,8 +127,8 @@ struct OutEntry {
 }
 
 /// Per-connection HTTP state: parser in, ordered response queue out.
-struct HttpConn<'h, H: HttpHost + Sync> {
-    host: &'h H,
+struct HttpConn<'h> {
+    router: &'h ShardRouter,
     parser: RequestParser,
     outq: VecDeque<OutEntry>,
     /// No further requests are parsed (an error or `Connection: close`
@@ -128,7 +136,7 @@ struct HttpConn<'h, H: HttpHost + Sync> {
     closed: bool,
 }
 
-impl<H: HttpHost + Sync> HttpConn<'_, H> {
+impl HttpConn<'_> {
     fn push(
         &mut self,
         answer: Answer,
@@ -202,20 +210,20 @@ impl<H: HttpHost + Sync> HttpConn<'_, H> {
 
     /// `GET /` — cheap cached lookups only; renders on the loop.
     fn index(&self) -> Answer {
-        let mut rows: BTreeMap<String, usize> = BTreeMap::new();
-        let mut generations = Vec::new();
-        self.host.visit_shards(&mut |generation, session| {
-            generations.push(generation);
-            if let Some(db) = session.db() {
-                for lic in db.licenses() {
-                    *rows.entry(lic.licensee.clone()).or_insert(0) += 1;
-                }
-            }
-        });
-        let rows: Vec<CorpusRow> = rows
-            .into_iter()
-            .map(|(name, licenses)| CorpusRow { name, licenses })
+        let engines = self.router.engines();
+        let generations: Vec<u64> = engines.iter().map(|e| e.generation()).collect();
+        // Shards partition at licensee granularity: each name is on one.
+        let mut rows: Vec<CorpusRow> = engines
+            .iter()
+            .flat_map(|e| {
+                let index = e.session().index();
+                index.licensees().map(|name| CorpusRow {
+                    name: name.to_string(),
+                    licenses: index.members_of(name).len(),
+                })
+            })
             .collect();
+        rows.sort_by(|a, b| a.name.cmp(&b.name));
         html_ok(pages::index_page(&generations, &rows))
     }
 
@@ -326,11 +334,11 @@ impl<H: HttpHost + Sync> HttpConn<'_, H> {
     fn evolution(&self) -> Answer {
         let years: Vec<i32> = EVOLUTION_YEARS.collect();
         let mut rows: Vec<(String, Vec<usize>)> = Vec::new();
-        self.host.visit_shards(&mut |_generation, session| {
-            let Some(db) = session.db() else { return };
+        for engine in self.router.engines() {
+            let session = engine.session();
             // Shards partition at licensee granularity, so rows from
             // different shards never collide.
-            for name in db.licensees() {
+            for name in session.index().licensees() {
                 let counts: Vec<usize> = years
                     .iter()
                     .map(|&y| {
@@ -342,7 +350,7 @@ impl<H: HttpHost + Sync> HttpConn<'_, H> {
                     rows.push((name.to_string(), counts));
                 }
             }
-        });
+        }
         rows.sort_by(|a, b| {
             let (fa, fb) = (a.1.last().copied(), b.1.last().copied());
             fb.cmp(&fa).then_with(|| a.0.cmp(&b.0))
@@ -366,14 +374,14 @@ impl<H: HttpHost + Sync> HttpConn<'_, H> {
                 );
             }
         };
-        match request {
-            Request::Shutdown => json_answer(
+        match request.dispatch() {
+            Dispatch::Shutdown => json_answer(
                 403,
                 Response::Error {
                     message: "shutdown is not permitted over http".to_string(),
                 },
             ),
-            Request::Stats | Request::Metrics | Request::Traces { .. } => {
+            Dispatch::Telemetry => {
                 let (status, content_type, body) =
                     self.finish(&Finish::Api, cx.answer_inline(&request));
                 Answer::Now {
@@ -382,7 +390,7 @@ impl<H: HttpHost + Sync> HttpConn<'_, H> {
                     body,
                 }
             }
-            request => self.submit(request, Finish::Api, cx),
+            Dispatch::Point(_) | Dispatch::Scatter => self.submit(request, Finish::Api, cx),
         }
     }
 
@@ -435,23 +443,20 @@ impl<H: HttpHost + Sync> HttpConn<'_, H> {
                         ("NYSE", NYSE.position()),
                         ("NASDAQ", NASDAQ.position()),
                     ];
-                    let mut page = None;
-                    self.host.visit_owner(name, &mut |generation, session| {
-                        // The pooled request just reconstructed this
-                        // network in the owning engine: cache hit.
-                        let network = session.network(name, *date);
-                        let svg = hft_viz::svgmap::network_to_svg(&network, &markers);
-                        page = Some(pages::licensee_page(
-                            name,
-                            &date.to_iso(),
-                            generation,
-                            towers,
-                            links,
-                            active_licenses,
-                            &svg,
-                        ));
-                    });
-                    let body = page.unwrap_or_else(|| pages::error_page(503, "no engine"));
+                    // The pooled request just reconstructed this network
+                    // in the owning engine: cache hit.
+                    let (_, engine) = self.router.owner(name);
+                    let network = engine.session().network(name, *date);
+                    let svg = hft_viz::svgmap::network_to_svg(&network, &markers);
+                    let body = pages::licensee_page(
+                        name,
+                        &date.to_iso(),
+                        engine.generation(),
+                        towers,
+                        links,
+                        active_licenses,
+                        &svg,
+                    );
                     (200, HTML_CONTENT_TYPE, body.into_bytes())
                 }
                 Response::Error { message } => {
@@ -549,7 +554,7 @@ impl<H: HttpHost + Sync> HttpConn<'_, H> {
     }
 }
 
-impl<H: HttpHost + Sync> ConnDriver for HttpConn<'_, H> {
+impl ConnDriver for HttpConn<'_> {
     fn on_bytes(&mut self, bytes: &[u8], cx: &mut DriverCx<'_>) {
         if self.closed {
             return; // a close-marked exchange is queued; drop the rest

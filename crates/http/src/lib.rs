@@ -17,13 +17,10 @@
 //!    arbitrary bytes.
 //! 2. [`response`] — status-line + header serialization into pooled
 //!    buffers.
-//! 3. [`host`] — [`HttpHost`]: generation-pinned
-//!    session visits over `Service`/`LiveService`/`ShardRouter`, so
-//!    pages render one consistent corpus under live ingest.
-//! 4. [`pages`] — data-ink-first HTML: the corpus index, per-licensee
+//! 3. [`pages`] — data-ink-first HTML: the corpus index, per-licensee
 //!    corridor maps (inline `hft-viz` SVG), the scrape funnel, the
 //!    small-multiples evolution page, and the live registry dashboard.
-//! 5. [`driver`] — the route table and the per-connection
+//! 4. [`driver`] — the route table and the per-connection
 //!    [`ConnDriver`](hft_serve::ConnDriver), including `POST /api`
 //!    (wire requests over HTTP, byte-identical answers) and
 //!    `GET /metrics` (Prometheus text exposition).
@@ -32,11 +29,9 @@
 #![warn(missing_docs)]
 
 pub mod driver;
-pub mod host;
 pub mod pages;
 pub mod parser;
 pub mod response;
 
 pub use driver::HttpExplorer;
-pub use host::HttpHost;
 pub use parser::{HttpError, HttpRequest, RequestParser};

@@ -1,16 +1,19 @@
 //! End-to-end: a real `Server` with the HTTP explorer registered as an
-//! extra listener on the readiness loop, exercised over real sockets —
-//! pages, the JSON API's byte-identity with the wire handler, content
-//! types, keep-alive pipelining, and error paths.
+//! extra listener on the readiness loop, exercised over real sockets on
+//! a one-shard fleet and on a three-shard spatial fleet — pages, the
+//! JSON API's byte-identity with a single-corpus engine, content types,
+//! keep-alive pipelining, and error paths.
 
-use hft_core::session::AnalysisSession;
-use hft_http::{HttpExplorer, HttpHost};
+use hft_http::HttpExplorer;
+use hft_ingest::ShardedStore;
 use hft_serve::evloop::ExtraListener;
-use hft_serve::{Client, Handler, Request, Response, ServeConfig, ServeStats, Server, Service};
+use hft_serve::{
+    Client, Handler, Request, Response, ServeConfig, ServeStats, Server, Service, ShardRouter,
+};
 use hft_time::Date;
 use hft_uls::{
-    CallSign, FrequencyAssignment, License, LicenseId, MicrowavePath, RadioService, StationClass,
-    TowerSite, UlsDatabase,
+    CallSign, FrequencyAssignment, License, LicenseId, MicrowavePath, RadioService, ShardStrategy,
+    StationClass, TowerSite, UlsDatabase,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -40,8 +43,15 @@ fn corpus() -> UlsDatabase {
         lic(2, "Beta Microwave", 41.3, -87.8),
         lic(3, "Alpha Networks", 41.6, -87.4),
         lic(4, "Gamma Wireless", 41.9, -87.1),
+        lic(5, "Delta Relay", 40.7, -74.0),
     ])
 }
+
+/// The fleets every explorer test runs over.
+const FLEETS: [(usize, ShardStrategy); 2] = [
+    (1, ShardStrategy::LicenseeHash),
+    (3, ShardStrategy::SpatialCell),
+];
 
 /// One parsed HTTP response.
 struct HttpReply {
@@ -165,47 +175,59 @@ impl HttpClient {
     }
 }
 
-/// Run `f` against a serving fixture, then shut the server down — even
-/// when `f` panics, so a failed assertion never deadlocks the scope
-/// join.
-fn with_server(f: impl FnOnce(SocketAddr, SocketAddr, &Service<'_>)) {
+/// Run `f` against a server over each of [`FLEETS`], with a
+/// single-corpus engine to compare against, then shut the server down —
+/// even when `f` panics, so a failed assertion never deadlocks the
+/// scope join.
+fn with_server(f: impl Fn(SocketAddr, SocketAddr, &Service<'_>)) {
     let db = corpus();
-    let service = Service::new(&db);
-    let server = Server::bind(ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        ..ServeConfig::default()
-    })
-    .expect("bind wire");
-    let wire_addr = server.local_addr().expect("wire addr");
-    let explorer = HttpExplorer::new(&service);
-    let extra = ExtraListener::bind("127.0.0.1:0", &explorer).expect("bind http");
-    let http_addr = extra.local_addr().expect("http addr");
-    std::thread::scope(|scope| {
-        let server = &server;
-        let service = &service;
-        let extras = vec![extra];
-        let handle = scope.spawn(move || server.run_with_extras(service, &extras));
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            f(http_addr, wire_addr, service)
-        }));
-        let mut client = Client::connect(&wire_addr).expect("wire client");
-        assert!(matches!(
-            client.call(&Request::Shutdown).expect("shutdown"),
-            Response::ShuttingDown
-        ));
-        handle
-            .join()
-            .expect("server thread")
-            .expect("server result");
-        if let Err(panic) = outcome {
-            std::panic::resume_unwind(panic);
-        }
-    });
+    let single = Service::new(&db);
+    for (shards, strategy) in FLEETS {
+        let store = ShardedStore::seeded(&db, shards, strategy, None);
+        let filled = store
+            .shards()
+            .iter()
+            .filter(|s| !s.current().db().is_empty());
+        assert!(
+            filled.count() >= shards.min(2),
+            "licensees spread over shards"
+        );
+        let router = ShardRouter::over(&store);
+        let server = Server::bind(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            ..ServeConfig::default()
+        })
+        .expect("bind wire");
+        let wire_addr = server.local_addr().expect("wire addr");
+        let explorer = HttpExplorer::new(&router);
+        let extra = ExtraListener::bind("127.0.0.1:0", &explorer).expect("bind http");
+        let http_addr = extra.local_addr().expect("http addr");
+        std::thread::scope(|scope| {
+            let (server, router) = (&server, &router);
+            let extras = vec![extra];
+            let handle = scope.spawn(move || server.run_with_extras(router, &extras));
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                f(http_addr, wire_addr, &single)
+            }));
+            let mut client = Client::connect(&wire_addr).expect("wire client");
+            assert!(matches!(
+                client.call(&Request::Shutdown).expect("shutdown"),
+                Response::ShuttingDown
+            ));
+            handle
+                .join()
+                .expect("server thread")
+                .expect("server result");
+            if let Err(panic) = outcome {
+                std::panic::resume_unwind(panic);
+            }
+        });
+    }
 }
 
 #[test]
 fn pages_render_with_correct_content_types() {
-    with_server(|http, _wire, _service| {
+    with_server(|http, _wire, single| {
         let mut conn = HttpClient::connect(http);
 
         let index = conn.get("/");
@@ -214,8 +236,24 @@ fn pages_render_with_correct_content_types() {
             index.header("content-type"),
             Some("text/html; charset=utf-8")
         );
-        assert!(index.text().contains("Alpha Networks"));
         assert!(index.text().contains("/licensee/Alpha%20Networks"));
+        // Each licensee is listed once, whichever shard holds it, and
+        // its page counts what a single corpus counts.
+        for name in corpus().licensees() {
+            let link = format!(">{name}</a>");
+            assert_eq!(index.text().matches(&link).count(), 1, "{name}");
+            let page = conn.get(&format!("/licensee/{}", name.replace(' ', "%20")));
+            assert_eq!(page.status, 200, "{name}");
+            let network = single.handle(&Request::Network {
+                licensee: name.into(),
+                date: Date::new(2020, 4, 1).unwrap(),
+            });
+            let Response::Network { towers, links, .. } = network else {
+                panic!("unexpected response {network:?}");
+            };
+            let counts = format!("<tr><td>{towers}</td><td>{links}</td>");
+            assert!(page.text().contains(&counts), "{name}: {counts}");
+        }
 
         // Keep-alive: the same connection serves every request below.
         let lic = conn.get("/licensee/Alpha%20Networks");
@@ -272,6 +310,7 @@ fn pages_render_with_correct_content_types() {
 
         let missing = conn.get("/licensee/Nobody%20Known");
         assert_eq!(missing.status, 404);
+        assert!(missing.text().contains("no licenses filed under"));
 
         let nope = conn.get("/no/such/route");
         assert_eq!(nope.status, 404);
@@ -283,7 +322,7 @@ fn pages_render_with_correct_content_types() {
 
 #[test]
 fn json_api_bytes_match_in_process_handler() {
-    with_server(|http, _wire, service| {
+    with_server(|http, _wire, single| {
         let mut conn = HttpClient::connect(http);
         let requests = vec![
             Request::Network {
@@ -323,7 +362,7 @@ fn json_api_bytes_match_in_process_handler() {
             },
         ];
         for request in requests {
-            let expected = service.handle(&request);
+            let expected = single.handle(&request);
             let expected_status = match &expected {
                 Response::Error { .. } => 400,
                 Response::Overloaded | Response::ShuttingDown => 503,
@@ -333,7 +372,7 @@ fn json_api_bytes_match_in_process_handler() {
             assert_eq!(reply.status, expected_status, "{request:?}");
             assert_eq!(reply.header("content-type"), Some("application/json"));
             // The acceptance bar: HTTP answers are byte-identical to
-            // the in-process handler's wire encoding.
+            // a single-corpus engine's wire encoding.
             assert_eq!(reply.body, expected.encode(), "{request:?}");
         }
 
@@ -344,7 +383,7 @@ fn json_api_bytes_match_in_process_handler() {
 
 #[test]
 fn pipelined_requests_answer_in_order() {
-    with_server(|http, _wire, _service| {
+    with_server(|http, _wire, _single| {
         let mut conn = HttpClient::connect(http);
         // Three requests written back-to-back before any read: answers
         // must come back in request order even though the licensee page
@@ -365,7 +404,7 @@ fn pipelined_requests_answer_in_order() {
 
 #[test]
 fn head_answers_headers_only_and_errors_close() {
-    with_server(|http, _wire, _service| {
+    with_server(|http, _wire, _single| {
         let mut conn = HttpClient::connect(http);
         conn.send_raw(b"HEAD / HTTP/1.1\r\nHost: t\r\n\r\n");
         let head = conn.read_head();
@@ -399,9 +438,10 @@ fn head_answers_headers_only_and_errors_close() {
     });
 }
 
-/// A host whose `stats` answer panics. `POST /api` answers telemetry on
-/// the event loop, so the loop itself must catch the panic.
-struct PanicsOnStats(Service<'static>);
+/// A wire handler whose `stats` answer panics, serving a fleet the
+/// explorer reads. `POST /api` answers telemetry on the event loop, so
+/// the loop itself must catch the panic.
+struct PanicsOnStats(ShardRouter);
 
 impl Handler for PanicsOnStats {
     fn handle(&self, req: &Request) -> Response {
@@ -412,17 +452,7 @@ impl Handler for PanicsOnStats {
     }
 
     fn serve_stats(&self) -> &ServeStats {
-        self.0.stats()
-    }
-}
-
-impl HttpHost for PanicsOnStats {
-    fn visit_shards(&self, f: &mut dyn FnMut(u64, &AnalysisSession<'_>)) {
-        self.0.visit_shards(f)
-    }
-
-    fn visit_owner(&self, licensee: &str, f: &mut dyn FnMut(u64, &AnalysisSession<'_>)) {
-        self.0.visit_owner(licensee, f)
+        self.0.serve_stats()
     }
 }
 
@@ -433,17 +463,14 @@ fn panicking_telemetry_answers_error_over_http() {
     // answering fails the reads below on their timeout instead of
     // hanging the test.
     let serving = std::thread::spawn(move || {
-        let host = PanicsOnStats(Service::over_snapshot(
-            std::sync::Arc::new(corpus()),
-            0,
-            std::sync::Arc::new(ServeStats::default()),
-        ));
+        let store = ShardedStore::seeded(&corpus(), 1, ShardStrategy::LicenseeHash, None);
+        let host = PanicsOnStats(ShardRouter::over(&store));
         let server = Server::bind(ServeConfig {
             addr: "127.0.0.1:0".into(),
             ..ServeConfig::default()
         })
         .expect("bind wire");
-        let explorer = HttpExplorer::new(&host);
+        let explorer = HttpExplorer::new(&host.0);
         let extra = ExtraListener::bind("127.0.0.1:0", &explorer).expect("bind http");
         let wire = server.local_addr().expect("wire addr");
         let http = extra.local_addr().expect("http addr");

@@ -12,10 +12,11 @@
 //! its binary tag and JSON `type`, then its fields in wire order, and
 //! the `wire_enum!` macro (in `codec.rs`) generates the JSON codec
 //! ([`Request::to_json`], [`Request::decode`], ...) and the binary one
-//! ([`crate::binwire`]) from it. Adding a request is one entry here plus
-//! a handler arm. Encoding is deterministic: one canonical key order per
-//! variant, so two encodings of equal values are byte-identical and the
-//! load harness can diff served bytes against locally computed ones.
+//! ([`crate::binwire`]) from it. Adding a request is one entry here, one
+//! [`Request::dispatch`] arm and a handler arm. Encoding is
+//! deterministic: one canonical key order per variant, so two encodings
+//! of equal values are byte-identical and the load harness can diff
+//! served bytes against locally computed ones.
 
 use crate::codec::{wire_enum, wire_struct, Field, Latency};
 use crate::json::Json;
@@ -488,10 +489,47 @@ impl Field for WireTrace {
     }
 }
 
+/// Where a request is answered: the one routing decision, which every
+/// dispatcher (the shard router, the wire loop, `POST /api`, the load
+/// harness's attribution) reads from [`Request::dispatch`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Dispatch<'a> {
+    /// Process-wide counters, registry or flight recorder: answered on
+    /// the event loop, bypassing the admission queue, so it works
+    /// precisely when the queue is full.
+    Telemetry,
+    /// Stop accepting, drain, and dump the serving counters.
+    Shutdown,
+    /// A question about one licensee's filings: only the shard that
+    /// owns the licensee can answer it.
+    Point(&'a str),
+    /// A question about the whole corpus: every shard answers its piece
+    /// and the router merges the answers.
+    Scatter,
+}
+
 impl Request {
     /// The request's wire type name (`geographic`, `traces`, ...): the
     /// label used on trace records and per-kind metrics.
     pub fn kind(&self) -> &'static str {
         self.wire_type()
+    }
+
+    /// How this request is routed. One arm per variant and no wildcard,
+    /// so a new request cannot compile until it has a route.
+    pub fn dispatch(&self) -> Dispatch<'_> {
+        match self {
+            Request::Stats | Request::Metrics | Request::Traces { .. } => Dispatch::Telemetry,
+            Request::Shutdown => Dispatch::Shutdown,
+            Request::Network { licensee, .. }
+            | Request::Route { licensee, .. }
+            | Request::Apa { licensee, .. }
+            | Request::Weather { licensee, .. }
+            | Request::Race { licensee, .. }
+            | Request::StretchSweep { licensee, .. } => Dispatch::Point(licensee),
+            Request::Geographic { .. } | Request::SiteSearch { .. } | Request::Shortlist { .. } => {
+                Dispatch::Scatter
+            }
+        }
     }
 }

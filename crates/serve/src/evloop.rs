@@ -38,7 +38,7 @@
 //! (pending jobs still drain), marks every connection read-closed, and
 //! the loop exits once every outstanding response has been flushed.
 
-use crate::api::{Request, Response};
+use crate::api::{Dispatch, Request, Response};
 use crate::binwire::{self, Proto};
 use crate::poll::{Interest, Poller, SourceFd, Waker};
 use crate::pool::{Queue, ResponseSlot, SubmitError};
@@ -315,8 +315,8 @@ impl WireDriver {
                 return;
             }
         };
-        match request {
-            Request::Shutdown => {
+        match request.dispatch() {
+            Dispatch::Shutdown => {
                 stats.on_completed(false);
                 self.outq.push_back(Outgoing::Ready(
                     Box::new(Response::ShuttingDown),
@@ -324,7 +324,7 @@ impl WireDriver {
                 ));
                 cx.begin_shutdown();
             }
-            Request::Stats | Request::Metrics | Request::Traces { .. } => {
+            Dispatch::Telemetry => {
                 // Queue-bypassing telemetry: must answer even when the
                 // admission queue is saturated.
                 let response = cx.answer_inline(&request);
@@ -332,7 +332,7 @@ impl WireDriver {
                 self.outq
                     .push_back(Outgoing::Ready(Box::new(response), self.proto));
             }
-            request => match cx.submit(request) {
+            Dispatch::Point(_) | Dispatch::Scatter => match cx.submit(request) {
                 Ok(slot) => self.outq.push_back(Outgoing::Slot(slot, self.proto)),
                 Err(SubmitError::Overloaded) => self
                     .outq

@@ -15,12 +15,12 @@
 //! 4. [`wire`] + [`evloop`] + [`server`] — length-prefixed frames over
 //!    TCP, one readiness loop answering every connection in request
 //!    order, and a blocking/pipelining client.
-//! 5. [`live`] — a generation-following engine over an ingest
-//!    [`SnapshotStore`](hft_ingest::SnapshotStore): one
-//!    [`Service`] per published corpus, swapped when
-//!    the ingest applier publishes a new one (and only relabelled when
-//!    a publish keeps the corpus), so session memoization can never
-//!    serve a stale corpus.
+//! 5. [`router`] — the handler every server runs: a fleet of shards,
+//!    one for a single corpus, each following an ingest
+//!    [`SnapshotStore`](hft_ingest::SnapshotStore) with one
+//!    [`Service`] per published corpus (only relabelled when a publish
+//!    keeps the corpus), so session memoization can never serve a
+//!    stale corpus. [`Request::dispatch`] decides each request's route.
 //!
 //! Observability lives in [`stats`]: every admission, rejection, queue
 //! wait, service time, and flight outcome (led, or coalesced onto
@@ -37,7 +37,6 @@ pub mod binwire;
 mod codec;
 pub mod evloop;
 pub mod json;
-pub mod live;
 pub mod poll;
 pub mod pool;
 pub mod router;
@@ -46,10 +45,9 @@ pub mod service;
 pub mod stats;
 pub mod wire;
 
-pub use api::{Request, Response, WireSpan, WireTrace};
+pub use api::{Dispatch, Request, Response, WireSpan, WireTrace};
 pub use binwire::Proto;
 pub use evloop::{ConnDriver, DriverCx, DriverFactory, ExtraListener};
-pub use live::LiveService;
 pub use router::ShardRouter;
 pub use server::{Client, ServeConfig, Server};
 pub use service::{Handler, Service};

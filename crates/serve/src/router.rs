@@ -1,59 +1,77 @@
-//! The shard router: scatter-gather over N in-process shard workers.
+//! The shard router: the handler every server runs, answering over a
+//! fleet of N in-process shards. A fixed corpus is a one-shard fleet
+//! whose store never publishes.
 //!
 //! A [`ShardRouter`] is a [`Handler`], so the whole wire stack (frames,
 //! admission queue, pool workers) runs over a fleet unchanged. Each
-//! shard worker is a [`LiveService`] following its own per-shard
-//! [`SnapshotStore`](hft_ingest::SnapshotStore) — its own
-//! `AnalysisSession`, race-engine memos and shard-labeled
+//! [`Shard`] follows its own per-shard
+//! [`SnapshotStore`] — its own engine ([`Service`]: an
+//! `AnalysisSession` and race-engine memos) and shard-labeled
 //! [`ServeStats`] — over the shard's disjoint piece of the corpus. A
-//! shard worker is state, not a thread: every leg of a request runs on
-//! the pool worker answering it.
+//! shard is state, not a thread: every leg of a request runs on the
+//! pool worker answering it.
 //!
-//! Routing is licensee-granular, mirroring the partitioner:
+//! Routing follows [`Request::dispatch`]:
 //!
-//! * **Point-to-point** — single-licensee requests (network, route,
-//!   APA, weather) go to the owning shard. Under the licensee-hash
-//!   strategy the owner is a pure function of the name (one hop, no
-//!   corpus lookup); under the spatial strategy ownership depends on
-//!   the corpus, so these broadcast and the owner's answer is selected.
-//! * **Scatter-gather** — geographic, site and funnel queries run on
-//!   every shard in turn and the per-shard answers merge
-//!   deterministically:
-//!   license searches k-way-merge ascending ids, funnel counters sum
+//! * **Point** — a single-licensee request (network, route, APA,
+//!   weather, race, stretch sweep) runs on its owner alone
+//!   ([`ShardRouter::owner`]). Under the licensee-hash strategy the
+//!   owner is a pure function of the name; under the spatial strategy
+//!   it is the shard whose corpus files under the name. A name no shard
+//!   files under goes to shard 0, whose answer is the unknown-licensee
+//!   answer a single corpus gives.
+//! * **Scatter** — geographic, site and funnel queries run on every
+//!   shard in turn and the per-shard answers merge deterministically:
+//!   license searches merge ascending ids, funnel counters sum
 //!   (licensee-granular partitioning makes per-shard counts disjoint),
 //!   and shortlist names merge sorted. The merged bytes are identical
 //!   to a single-corpus [`Service`] answer.
+//! * **Telemetry** — `stats` sums the shards' counters; the registry
+//!   and the flight recorder are process-wide.
 //!
-//! **Generation-vector pinning:** a scatter captures every shard's
-//! current engine in one pass *before* any leg runs, so all per-shard
-//! computations run against the generation vector that existed when the
-//! request started — a publish landing mid-request cannot produce an
-//! answer mixing a shard's old corpus with another's new one beyond
+//! **Generation swaps:** each shard holds *one engine per corpus*.
+//! Every corpus its store publishes gets a fresh [`Service`] built over
+//! a shared handle to that corpus, so a network memoized against
+//! generation *N* lives in that corpus's engine, which no request
+//! routed after a swap can reach. Requests already inside the old
+//! engine finish against it: its session co-owns its corpus `Arc`. A
+//! generation that republishes the corpus `Arc` the engine already
+//! reads (a shard a dump batch left alone) is *relabelled*, not
+//! rebuilt: the engine keeps its caches. Staleness detection is one
+//! atomic load ([`SnapshotStore::generation`]) per request; the engine
+//! mutex is taken only to clone the engine handle out (and, rarely, to
+//! rebuild it), never while computing a response.
+//!
+//! **Generation-vector pinning:** a scatter, and a spatial owner
+//! lookup, captures every shard's current engine in one pass *before*
+//! any leg runs ([`ShardRouter::engines`]), so all per-shard
+//! computations run against the generation vector that existed when
+//! the request started — a publish landing mid-request cannot produce
+//! an answer mixing a shard's old corpus with another's new one beyond
 //! what the vector already showed at capture time. Callers that need a
 //! provably-uniform vector bracket the request with
 //! [`ShardedStore::generation_vector`] reads, exactly as single-store
 //! clients bracket with the generation counter.
 
-use crate::api::{Request, Response};
-use crate::live::LiveService;
+use crate::api::{Dispatch, Request, Response};
 use crate::service::{metrics_json, traces_response, Handler, Service};
 use crate::stats::{ServeSnapshot, ServeStats};
 use hft_core::session::StatsSnapshot;
-use hft_ingest::ShardedStore;
+use hft_ingest::{ShardedStore, SnapshotStore};
 use hft_uls::shard::{shard_of_licensee, ShardStrategy};
 #[cfg(test)]
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// A fleet of in-process shard workers behind one [`Handler`]. See the
-/// module docs.
+/// A fleet of in-process shards behind one [`Handler`]. See the module
+/// docs.
 pub struct ShardRouter {
-    shards: Vec<LiveService>,
+    shards: Vec<Shard>,
     strategy: ShardStrategy,
     /// Transport-level counters (received/queued/completed): the wire
     /// server reports into these; per-shard work reports into each
-    /// worker's own labeled stats.
+    /// shard's own labeled stats.
     stats: Arc<ServeStats>,
     /// Fault point: calls to this shard panic (`usize::MAX` for none).
     #[cfg(test)]
@@ -61,14 +79,14 @@ pub struct ShardRouter {
 }
 
 impl ShardRouter {
-    /// A router over `store`'s shards, one worker per shard.
+    /// A router over `store`'s shards.
     pub fn over(store: &ShardedStore) -> ShardRouter {
         ShardRouter {
             shards: store
                 .shards()
                 .iter()
                 .enumerate()
-                .map(|(k, s)| LiveService::for_shard(Arc::clone(s), k as u32))
+                .map(|(k, s)| Shard::new(Arc::clone(s), k as u32))
                 .collect(),
             strategy: store.strategy(),
             stats: Arc::new(ServeStats::default()),
@@ -77,63 +95,58 @@ impl ShardRouter {
         }
     }
 
-    /// Number of shard workers.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The partitioning strategy the fleet routes by.
-    pub fn strategy(&self) -> ShardStrategy {
-        self.strategy
-    }
-
-    /// The shard workers, in shard order.
-    pub fn shards(&self) -> &[LiveService] {
+    /// The shards, in shard order.
+    pub fn shards(&self) -> &[Shard] {
         &self.shards
     }
 
-    /// Every shard worker's next-request generation, in shard order.
-    pub fn generation_vector(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.store().generation()).collect()
+    /// Every shard's current engine, in shard order, captured in one
+    /// pass: one generation vector.
+    pub fn engines(&self) -> Vec<Arc<Service<'static>>> {
+        self.shards.iter().map(Shard::engine).collect()
+    }
+
+    /// The shard that answers for `licensee`, with its current engine.
+    /// Under licensee hashing that is the name's hash. Under spatial
+    /// partitioning it is the first shard whose corpus files under the
+    /// name, read from one generation vector, and shard 0 when none
+    /// does: every shard gives an unknown licensee the same answer.
+    pub fn owner(&self, licensee: &str) -> (usize, Arc<Service<'static>>) {
+        if self.strategy.routes_by_name() {
+            let k = shard_of_licensee(licensee, self.shards.len()) as usize;
+            return (k, self.shards[k].engine());
+        }
+        let mut engines = self.engines();
+        let k = engines
+            .iter()
+            .position(|e| !e.session().index().members_of(licensee).is_empty())
+            .unwrap_or(0);
+        (k, engines.swap_remove(k))
     }
 
     /// Answer one request. Safe to call from many threads at once.
     pub fn handle(&self, req: &Request) -> Response {
-        match req {
-            Request::Stats => self.merged_stats(),
-            Request::Metrics => Response::Metrics {
-                registry: metrics_json(),
+        match req.dispatch() {
+            // The registry and the flight recorder are process-wide, so
+            // the router answers them without reading an engine.
+            Dispatch::Telemetry => match req {
+                Request::Metrics => Response::Metrics {
+                    registry: metrics_json(),
+                },
+                Request::Traces { limit, trace_id } => traces_response(*limit, *trace_id),
+                _ => self.merged_stats(),
             },
-            // The flight recorder is process-wide, so the router answers
-            // directly — its records already hold every shard's legs.
-            Request::Traces { limit, trace_id } => traces_response(*limit, *trace_id),
-            Request::Shutdown => Response::ShuttingDown,
-            Request::Network { licensee, .. }
-            | Request::Route { licensee, .. }
-            | Request::Apa { licensee, .. }
-            | Request::Weather { licensee, .. }
-            | Request::Race { licensee, .. }
-            | Request::StretchSweep { licensee, .. } => self.single(licensee, req),
-            Request::Geographic { .. } | Request::SiteSearch { .. } | Request::Shortlist { .. } => {
+            Dispatch::Shutdown => Response::ShuttingDown,
+            Dispatch::Point(licensee) => {
+                let (k, engine) = self.owner(licensee);
+                let _leg = hft_obs::span_sharded("shard.call", k as u32);
+                self.call(k, &engine, req)
+            }
+            Dispatch::Scatter => {
                 let responses = self.scatter(req);
                 let _merge = hft_obs::span("router.merge");
                 merge_scatter(req, responses)
             }
-        }
-    }
-
-    /// Route a single-licensee request to its owning shard, or — when
-    /// ownership is not name-computable — broadcast and keep the
-    /// owner's answer.
-    fn single(&self, licensee: &str, req: &Request) -> Response {
-        if self.strategy.routes_by_name() {
-            let k = shard_of_licensee(licensee, self.shards.len()) as usize;
-            let _leg = hft_obs::span_sharded("shard.call", k as u32);
-            self.call(k, &self.shards[k].engine(), req)
-        } else {
-            let responses = self.scatter(req);
-            let _merge = hft_obs::span("router.merge");
-            merge_owned(responses)
         }
     }
 
@@ -142,9 +155,7 @@ impl ShardRouter {
     /// on the calling thread: a leg costs a few microseconds, less than
     /// handing it to another thread would.
     fn scatter(&self, req: &Request) -> Vec<Response> {
-        // Pin the generation vector: one engine capture per shard, all
-        // before any shard computes.
-        let engines: Vec<Arc<Service<'static>>> = self.shards.iter().map(|s| s.engine()).collect();
+        let engines = self.engines();
         let _scatter = hft_obs::span("router.scatter");
         engines
             .iter()
@@ -157,7 +168,7 @@ impl ShardRouter {
     }
 
     /// One shard call, reported into the shard's labeled counters (the
-    /// router is the shard workers' transport).
+    /// router is the shards' transport).
     fn call(&self, k: usize, engine: &Service<'static>, req: &Request) -> Response {
         let stats = self.shards[k].stats();
         stats.on_received();
@@ -177,8 +188,8 @@ impl ShardRouter {
     /// engines.
     fn merged_stats(&self) -> Response {
         let mut session = StatsSnapshot::default();
-        for shard in &self.shards {
-            let c = shard.engine().session().stats();
+        for engine in self.engines() {
+            let c = engine.session().stats();
             session.network_hits += c.network_hits;
             session.reconstructions += c.reconstructions;
             session.route_hits += c.route_hits;
@@ -204,8 +215,8 @@ impl Handler for ShardRouter {
     }
 
     /// Transport counters from the router, flight and swap counters
-    /// summed over the shard workers' own stats. Reads no
-    /// engine, so it never triggers a generation swap.
+    /// summed over the shards' own stats. Reads no engine, so it never
+    /// triggers a generation swap.
     fn serve_snapshot(&self) -> ServeSnapshot {
         let mut serve = self.stats.snapshot();
         for shard in &self.shards {
@@ -215,6 +226,80 @@ impl Handler for ShardRouter {
             serve.generation_swaps += s.generation_swaps;
         }
         serve
+    }
+}
+
+/// One fleet shard: the engine for its store's current generation, and
+/// the shard's serving counters. See the module docs on generation
+/// swaps.
+pub struct Shard {
+    store: Arc<SnapshotStore>,
+    engine: Mutex<Arc<Service<'static>>>,
+    stats: Arc<ServeStats>,
+    /// Registry handles, labeled by shard, resolved once.
+    swap_ns: Arc<hft_obs::Histogram>,
+    relabels: Arc<hft_obs::Counter>,
+    staleness_ms: Arc<hft_obs::Gauge>,
+}
+
+impl Shard {
+    /// Shard `k`, starting from `store`'s current snapshot.
+    fn new(store: Arc<SnapshotStore>, k: u32) -> Shard {
+        let stats = Arc::new(ServeStats::for_shard(k));
+        let registry = hft_obs::global();
+        let name = |base: &str| hft_obs::registry::labeled(base, "shard", &k.to_string());
+        let snap = store.current();
+        let engine = Arc::new(Service::over_snapshot(
+            snap.db_arc(),
+            snap.generation(),
+            Arc::clone(&stats),
+        ));
+        Shard {
+            store,
+            engine: Mutex::new(engine),
+            stats,
+            swap_ns: registry.histogram(&name("serve.generation_swap_ns")),
+            relabels: registry.counter(&name("serve.generation_relabels")),
+            staleness_ms: registry.gauge(&name("serve.snapshot_staleness_ms")),
+        }
+    }
+
+    /// The shard's serving counters (shared by every generation's
+    /// engine).
+    pub fn stats(&self) -> &ServeStats {
+        &self.stats
+    }
+
+    /// The engine for the store's current generation. If the store
+    /// advanced since the last request, the engine is relabelled when
+    /// the new generation kept its corpus, and rebuilt otherwise.
+    pub fn engine(&self) -> Arc<Service<'static>> {
+        let current = self.store.generation();
+        let mut engine = self.engine.lock().expect("shard engine");
+        if engine.generation() != current {
+            let snap = self.store.current();
+            if engine.generation() != snap.generation() {
+                if engine.reads(snap.db()) {
+                    engine.relabel(snap.generation());
+                    self.relabels.incr();
+                } else {
+                    let started = Instant::now();
+                    *engine = Arc::new(Service::over_snapshot(
+                        snap.db_arc(),
+                        snap.generation(),
+                        Arc::clone(&self.stats),
+                    ));
+                    self.stats.on_generation_swap();
+                    self.swap_ns.record(started.elapsed().as_nanos() as u64);
+                }
+            }
+        }
+        // How far behind the last publish this request is served —
+        // near zero in steady state, growing only if the ingest
+        // follower stalls.
+        self.staleness_ms
+            .set(self.store.last_publish_age().as_millis() as i64);
+        Arc::clone(&engine)
     }
 }
 
@@ -277,48 +362,10 @@ fn merge_scatter(req: &Request, responses: Vec<Response>) -> Response {
     }
 }
 
-/// Select the owning shard's answer from a single-licensee broadcast.
-///
-/// Non-owning shards see no licenses under the name and return exactly
-/// the bytes a single corpus returns for an unknown licensee (zero
-/// network, all-`None` route, `None` APA, the same no-route error), so:
-/// the first *substantive* answer is the owner's, and when there is
-/// none every answer is byte-identical and the first stands in for all.
-fn merge_owned(responses: Vec<Response>) -> Response {
-    debug_assert!(!responses.is_empty());
-    let owned = responses.iter().position(|r| match r {
-        Response::Network {
-            towers,
-            links,
-            active_licenses,
-            ..
-        } => *towers > 0 || *links > 0 || *active_licenses > 0,
-        Response::Route {
-            latency_ms,
-            towers,
-            length_m,
-        } => latency_ms.is_some() || towers.is_some() || length_m.is_some(),
-        Response::Apa { apa } => apa.is_some(),
-        Response::Weather { .. } => true,
-        // A race's corpus-dependent leg is the microwave one; every
-        // other field (fiber, LEO, vacuum bound) is pure geometry that
-        // non-owning shards reproduce byte-identically.
-        Response::Race { microwave_ms, .. } => microwave_ms.is_some(),
-        Response::StretchSweep { entries } => entries.iter().any(|e| e.mw_stretch.is_some()),
-        _ => false,
-    });
-    let idx = owned.unwrap_or(0);
-    responses
-        .into_iter()
-        .nth(idx)
-        .expect("selected index is in bounds")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::server::{ServeConfig, Server};
-    use crate::service::Service;
     use crate::wire::{self, DEFAULT_MAX_FRAME};
     use hft_geodesy::LatLon;
     use hft_time::Date;
@@ -475,7 +522,7 @@ mod tests {
         grown.push(lic(1, "Epsilon Beam", 41.1, -87.9));
         let next = UlsDatabase::from_licenses(grown);
         assert_eq!(store.publish_full(&next, None), 1);
-        assert_eq!(router.generation_vector(), vec![1, 1, 1]);
+        assert_eq!(store.generation_vector(), vec![1, 1, 1]);
         let after = match router.handle(&geo) {
             Response::Licenses { ids } => ids,
             other => panic!("unexpected response {other:?}"),
@@ -515,6 +562,139 @@ mod tests {
         let owner = shard_of_licensee("Alpha Networks", 2) as usize;
         assert_eq!(router.shards()[owner].stats().snapshot().received, 2);
         assert_eq!(router.shards()[1 - owner].stats().snapshot().received, 1);
+    }
+
+    #[test]
+    fn spatial_point_requests_reach_one_shard() {
+        let db = corpus();
+        let store = ShardedStore::seeded(&db, 4, ShardStrategy::SpatialCell, None);
+        let router = ShardRouter::over(&store);
+        let received = || -> Vec<u64> {
+            let shards = router.shards().iter();
+            shards.map(|s| s.stats().snapshot().received).collect()
+        };
+        let date = Date::new(2016, 1, 1).unwrap();
+        let owners = hft_uls::shard::assign(&db, 4, ShardStrategy::SpatialCell);
+        for name in db.licensees() {
+            let before = received();
+            router.handle(&Request::Network {
+                licensee: name.into(),
+                date,
+            });
+            let moved: Vec<usize> = (0..4).filter(|&k| received()[k] > before[k]).collect();
+            assert_eq!(moved, vec![owners[name] as usize], "{name}");
+        }
+
+        // A name no shard files under reconstructs on shard 0 alone.
+        let reconstructions = || -> Vec<u64> {
+            let engines = router.engines().into_iter();
+            engines
+                .map(|e| e.session().stats().reconstructions)
+                .collect()
+        };
+        let before = reconstructions();
+        for i in 0..20 {
+            router.handle(&Request::Network {
+                licensee: format!("Nobody Known {i}"),
+                date,
+            });
+        }
+        let after = reconstructions();
+        let grew: Vec<u64> = (0..4).map(|k| after[k] - before[k]).collect();
+        assert_eq!(grew, vec![20, 0, 0, 0]);
+    }
+
+    #[test]
+    fn shard_swaps_engines_with_the_store() {
+        let alpha = |id: u64, lat: f64| lic(id, "Alpha Networks", lat, -88.17);
+        let store = ShardedStore::seeded(
+            &UlsDatabase::from_licenses(vec![alpha(1, 41.0)]),
+            1,
+            ShardStrategy::LicenseeHash,
+            None,
+        );
+        let router = ShardRouter::over(&store);
+        let shard = &router.shards()[0];
+        let geo = Request::Geographic {
+            lat_deg: 41.1,
+            lon_deg: -88.17,
+            radius_km: 100.0,
+        };
+        let count = |handler: &dyn Handler| match handler.handle(&geo) {
+            Response::Licenses { ids } => ids.len(),
+            other => panic!("unexpected response {other:?}"),
+        };
+        assert_eq!(shard.engine().generation(), 0);
+        assert_eq!(count(&router), 1);
+
+        // Hold the generation-0 engine across a publish: it must keep
+        // answering from its own corpus.
+        let pinned = shard.engine();
+        let grown = UlsDatabase::from_licenses(vec![alpha(1, 41.0), alpha(2, 41.2)]);
+        store.shard(0).publish(Arc::new(grown), None);
+        assert_eq!(count(&router), 2, "new requests see generation 1");
+        assert_eq!(shard.engine().generation(), 1);
+        assert_eq!(pinned.generation(), 0);
+        assert_eq!(count(&*pinned), 1, "pinned engine stays on gen 0");
+        assert_eq!(shard.stats().snapshot().generation_swaps, 1);
+
+        // Republishing the corpus the engine already reads relabels it:
+        // the generation advances, but the engine and its caches stay.
+        let network = Request::Network {
+            licensee: "Alpha Networks".into(),
+            date: Date::new(2016, 1, 1).unwrap(),
+        };
+        router.handle(&network);
+        let engine = shard.engine();
+        let hits = engine.session().stats().network_hits;
+        let relabels = || {
+            let name = hft_obs::registry::labeled("serve.generation_relabels", "shard", "0");
+            hft_obs::global().snapshot().counter(&name).unwrap_or(0)
+        };
+        let relabelled = relabels();
+        store
+            .shard(0)
+            .publish(store.shard(0).current().db_arc(), None);
+        assert!(
+            Arc::ptr_eq(&engine, &shard.engine()),
+            "relabelled, not rebuilt"
+        );
+        assert_eq!(engine.generation(), 2);
+        assert_eq!(shard.stats().snapshot().generation_swaps, 1);
+        // The registry is shared across the test binary: at least one.
+        assert!(relabels() > relabelled);
+        router.handle(&network);
+        assert_eq!(
+            shard.engine().session().stats().network_hits,
+            hits + 1,
+            "the network cached before the publish answers after it"
+        );
+    }
+
+    #[test]
+    fn memoized_networks_never_leak_across_generations() {
+        let alpha = |id: u64, lat: f64| lic(id, "Alpha Networks", lat, -88.17);
+        let store = ShardedStore::seeded(
+            &UlsDatabase::from_licenses(vec![alpha(1, 41.0)]),
+            1,
+            ShardStrategy::LicenseeHash,
+            None,
+        );
+        let router = ShardRouter::over(&store);
+        let req = Request::Network {
+            licensee: "Alpha Networks".into(),
+            date: Date::new(2016, 1, 1).unwrap(),
+        };
+        let towers = || match router.handle(&req) {
+            Response::Network { towers, .. } => towers,
+            other => panic!("unexpected response {other:?}"),
+        };
+        assert_eq!(towers(), 2);
+        // Grow the licensee's network; the old session has it memoized,
+        // but the swap routes to a fresh engine.
+        let grown = UlsDatabase::from_licenses(vec![alpha(1, 41.0), alpha(2, 42.0)]);
+        assert_eq!(store.publish_full(&grown, None), 1);
+        assert_eq!(towers(), 4);
     }
 
     #[test]

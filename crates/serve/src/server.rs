@@ -66,11 +66,10 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// Serve with any [`Handler`] — a fixed-corpus
-    /// [`Service`](crate::Service), a generation-following
-    /// [`LiveService`](crate::LiveService) or a
-    /// [`ShardRouter`](crate::ShardRouter) — until a `shutdown` request
-    /// arrives, then drain and return the final serving-layer counters.
+    /// Serve with any [`Handler`] — a [`ShardRouter`](crate::ShardRouter)
+    /// or a bare [`Service`](crate::Service) — until a `shutdown`
+    /// request arrives, then drain and return the final serving-layer
+    /// counters.
     pub fn run_with<H: Handler>(&self, service: &H) -> io::Result<ServeSnapshot> {
         self.run_with_extras(service, &[])
     }

@@ -7,7 +7,7 @@
 //! around [`Service::handle`], which is what makes "served bytes must
 //! equal direct-session bytes" a testable property.
 
-use crate::api::{Request, Response, SweepEntry};
+use crate::api::{Dispatch, Request, Response, SweepEntry};
 use crate::stats::{ServeSnapshot, ServeStats};
 use hft_core::corridor::{DataCenter, CME, EQUINIX_NY4, NASDAQ, NYSE};
 use hft_core::memo;
@@ -26,11 +26,10 @@ pub fn data_center(code: &str) -> Option<&'static DataCenter> {
         .find(|dc| dc.code == code)
 }
 
-/// Anything that can answer requests for the transport layer: a
-/// fixed-corpus [`Service`] or a generation-swapping
-/// [`LiveService`](crate::live::LiveService). The wire server, the
-/// connection handlers and the pool workers are generic over this, so
-/// live serving reuses the whole transport stack unchanged.
+/// Anything that can answer requests for the transport layer: the
+/// [`ShardRouter`](crate::ShardRouter) every server runs, or a bare
+/// single-corpus [`Service`]. The wire server, the connection handlers
+/// and the pool workers are generic over this.
 pub trait Handler: Sync {
     /// Answer one request.
     fn handle(&self, req: &Request) -> Response;
@@ -50,9 +49,9 @@ pub trait Handler: Sync {
 /// plus the serving-layer counters.
 ///
 /// A `Service` is pinned to exactly one corpus: its session and race
-/// memos never see requests against another corpus (a live server
-/// builds a fresh `Service` whenever a publish brings a new corpus), so
-/// a stale memoized network can never answer a post-swap query. A
+/// memos never see requests against another corpus (a fleet shard
+/// builds a fresh `Service` whenever a publish brings it a new corpus),
+/// so a stale memoized network can never answer a post-swap query. A
 /// publish that hands back the very corpus the engine reads only
 /// relabels it with the new generation number.
 pub struct Service<'a> {
@@ -64,7 +63,8 @@ pub struct Service<'a> {
 
 impl<'a> Service<'a> {
     /// A service over a borrowed license corpus (generation 0, its own
-    /// counters) — the fixed-corpus server path.
+    /// counters): the single-corpus reference that sharded answers are
+    /// checked against.
     pub fn new(db: &'a UlsDatabase) -> Service<'a> {
         Service {
             session: AnalysisSession::new(db),
@@ -77,7 +77,7 @@ impl<'a> Service<'a> {
     /// A service pinned to a published corpus snapshot. The session
     /// co-owns the corpus (so the snapshot outlives the store's next
     /// publish), and `stats` is shared so counters accumulate across a
-    /// live server's generations.
+    /// fleet shard's generations.
     pub fn over_snapshot(
         db: Arc<UlsDatabase>,
         generation: u64,
@@ -135,14 +135,11 @@ impl<'a> Service<'a> {
     /// Answer one request. Safe to call from many threads at once; this
     /// is the entry point pool workers use.
     ///
-    /// Every request but the telemetry and shutdown kinds counts as one
-    /// flight: coalesced when it waited on a memo cell another request
-    /// was filling, led otherwise.
+    /// Every point and scatter request counts as one flight: coalesced
+    /// when it waited on a memo cell another request was filling, led
+    /// otherwise.
     pub fn handle(&self, req: &Request) -> Response {
-        if matches!(
-            req,
-            Request::Stats | Request::Metrics | Request::Traces { .. } | Request::Shutdown
-        ) {
+        if let Dispatch::Telemetry | Dispatch::Shutdown = req.dispatch() {
             return self.compute(req);
         }
         memo::take_waited(); // a mark left by work outside a request
@@ -365,8 +362,7 @@ fn err(message: String) -> Response {
 /// Flatten a [`RaceOutcome`] onto the wire shape. An absent weather
 /// model (no corpus microwave route) encodes as the empty Monte Carlo:
 /// zero samples, zero availability, infinite latencies — the same
-/// degenerate distribution an MC over a permanently-down link yields,
-/// and byte-identical across shards that do not own the licensee.
+/// degenerate distribution an MC over a permanently-down link yields.
 fn race_response(o: RaceOutcome) -> Response {
     let (mw_stretch, fiber_stretch, leo_stretch) =
         (o.mw_stretch(), o.fiber_stretch(), o.leo_stretch());
@@ -410,8 +406,7 @@ fn canonical_ids(licenses: Vec<&hft_uls::License>) -> Vec<u64> {
 
 /// The flight recorder's answer to [`Request::Traces`]: one exact trace
 /// by id, or the slowest `limit` records. The recorder is process-wide,
-/// so the same helper serves a single [`Service`], a live server and a
-/// shard router.
+/// so any engine answers it for the whole fleet.
 pub(crate) fn traces_response(limit: usize, trace_id: Option<u128>) -> Response {
     let records = match trace_id {
         Some(id) => hft_obs::find_trace(id).into_iter().collect(),

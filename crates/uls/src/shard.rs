@@ -50,8 +50,8 @@ pub enum ShardStrategy {
     /// grid cell over every tower site the licensee files. Licensees
     /// operating in the same corner of the map co-locate, which keeps
     /// geographic scatter answers concentrated on few shards; the cost
-    /// is that name-only routing no longer knows the owner, so
-    /// single-licensee requests broadcast. Licensees with no sites fall
+    /// is that the owner of a name must be looked up in the shard
+    /// corpora instead of computed from it. Licensees with no sites fall
     /// back to the name hash.
     SpatialCell,
 }
@@ -75,8 +75,7 @@ impl ShardStrategy {
     }
 
     /// Whether the owning shard of a licensee is computable from the
-    /// name alone (point-to-point routing) or requires the corpus
-    /// (broadcast routing).
+    /// name alone, or must be looked up in the shard corpora.
     pub fn routes_by_name(&self) -> bool {
         matches!(self, ShardStrategy::LicenseeHash)
     }

@@ -38,14 +38,14 @@
 //! (with `--http PORT`, also the hft-http corpus explorer and live
 //! dashboards on a second listener sharing the same evented loop)
 //! until a `shutdown` request arrives, then dumps the serving counters
-//! as JSON on stdout. With `--shards N` (N > 1) the corpus is
-//! partitioned across N in-process shard workers behind a scatter-gather
-//! router (`--strategy licensee|spatial` picks the partitioner); answers
-//! are byte-identical to the single-corpus server's. With `--follow DIR`
+//! as JSON on stdout. Every server is a fleet: the corpus is partitioned
+//! across `--shards N` in-process shards (default 1) behind the shard
+//! router (`--strategy licensee|spatial` picks the partitioner), and
+//! answers are byte-identical to a single corpus's. With `--follow DIR`
 //! it starts from an **empty** corpus instead of the generated one and
 //! tails `DIR` for transaction dumps, publishing a new corpus generation
-//! per ingested batch (per shard, in lockstep, when sharded) while
-//! queries keep answering. With `--trace-sample N` one request in N is
+//! per ingested batch (to every shard, in lockstep) while queries keep
+//! answering. With `--trace-sample N` one request in N is
 //! head-sampled into the flight recorder (1 = every request; slow
 //! requests are always captured); `trace --connect` pulls the recorded
 //! waterfalls back out. With `--metrics-interval SECS` a background
@@ -239,9 +239,9 @@ fn run(args: &Args) -> Result<(), String> {
                 args.strategy.name(),
             );
             serve_follow(&server, dir, args.shards, args.strategy, args.http)
-        } else if args.shards > 1 {
+        } else {
             eprintln!(
-                "serving {} licenses on {addr} ({} workers, queue depth {}, {} shards, {} partitioning)",
+                "serving {} licenses on {addr} ({} workers, queue depth {}, {} shard(s), {} partitioning)",
                 eco.db.len(),
                 args.workers,
                 args.queue_depth,
@@ -249,17 +249,7 @@ fn run(args: &Args) -> Result<(), String> {
                 args.strategy.name(),
             );
             let fleet = hft_ingest::ShardedStore::seeded(&eco.db, args.shards, args.strategy, None);
-            let router = hft_serve::ShardRouter::over(&fleet);
-            run_serve(&server, &router, args.http)
-        } else {
-            eprintln!(
-                "serving {} licenses on {addr} ({} workers, queue depth {})",
-                eco.db.len(),
-                args.workers,
-                args.queue_depth
-            );
-            let service = hft_serve::Service::new(&eco.db);
-            run_serve(&server, &service, args.http)
+            run_serve(&server, &hft_serve::ShardRouter::over(&fleet), args.http)
         };
         if let Some((stop, handle)) = dumper {
             stop.store(true, std::sync::atomic::Ordering::Relaxed);
@@ -710,34 +700,31 @@ fn spawn_metrics_dumper(
     (stop, handle)
 }
 
-/// Run the serve loop over `host`, optionally registering the HTTP
+/// Run the serve loop over `router`, optionally registering the HTTP
 /// explorer on `http` as an extra listener multiplexed on the same
 /// readiness loop, worker pool, and admission queue.
-fn run_serve<H: hft_http::HttpHost + Sync>(
+fn run_serve(
     server: &hft_serve::Server,
-    host: &H,
+    router: &hft_serve::ShardRouter,
     http: Option<u16>,
 ) -> std::io::Result<hft_serve::ServeSnapshot> {
     match http {
-        None => server.run_with(host),
+        None => server.run_with(router),
         Some(port) => {
-            let explorer = hft_http::HttpExplorer::new(host);
+            let explorer = hft_http::HttpExplorer::new(router);
             let extra = hft_serve::ExtraListener::bind(&format!("127.0.0.1:{port}"), &explorer)?;
             eprintln!("http explorer on http://{}", extra.local_addr()?);
-            server.run_with_extras(host, std::slice::from_ref(&extra))
+            server.run_with_extras(router, std::slice::from_ref(&extra))
         }
     }
 }
 
 /// The `serve --follow` loop: tail `dir` for transaction dumps on a
 /// background thread, publishing one corpus generation per ingested
-/// batch, while the server answers queries against the latest
-/// generation. Starts from an empty corpus (generation 0).
-///
-/// With `shards > 1` the publisher targets a [`hft_ingest::ShardedStore`]
-/// — every ingested batch advances each shard's generation in lockstep,
-/// copying only the shards whose piece of the corpus changed — and the
-/// server runs a [`hft_serve::ShardRouter`] over the fleet.
+/// batch to a fleet of `shards` shards, while the server answers
+/// queries against the latest generation. Starts from an empty corpus
+/// (generation 0). Every batch advances each shard's generation in
+/// lockstep, copying only the shards whose piece of the corpus changed.
 fn serve_follow(
     server: &hft_serve::Server,
     dir: &Path,
@@ -746,38 +733,12 @@ fn serve_follow(
     http: Option<u16>,
 ) -> std::io::Result<hft_serve::ServeSnapshot> {
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
 
-    enum Target {
-        Single(Arc<hft_ingest::SnapshotStore>),
-        Fleet(Arc<hft_ingest::ShardedStore>),
-    }
-    let target = if shards > 1 {
-        Target::Fleet(Arc::new(hft_ingest::ShardedStore::seeded(
-            &UlsDatabase::new(),
-            shards,
-            strategy,
-            None,
-        )))
-    } else {
-        Target::Single(Arc::new(hft_ingest::SnapshotStore::new(UlsDatabase::new())))
-    };
-    let stop = Arc::new(AtomicBool::new(false));
-    let ingester = {
-        let publish: Box<dyn Fn(&hft_ingest::Applier) -> u64 + Send> = match &target {
-            Target::Single(store) => {
-                let store = Arc::clone(store);
-                Box::new(move |applier| applier.publish(&store))
-            }
-            Target::Fleet(fleet) => {
-                let fleet = Arc::clone(fleet);
-                Box::new(move |applier| applier.publish_sharded(&fleet))
-            }
-        };
-        let stop = Arc::clone(&stop);
-        let dir = dir.to_path_buf();
-        std::thread::spawn(move || {
-            let mut follower = hft_ingest::DumpFollower::new(dir);
+    let fleet = hft_ingest::ShardedStore::seeded(&UlsDatabase::new(), shards, strategy, None);
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let ingester = scope.spawn(|| {
+            let mut follower = hft_ingest::DumpFollower::new(dir.to_path_buf());
             let mut applier = hft_ingest::Applier::new(UlsDatabase::new());
             while !stop.load(Ordering::Relaxed) {
                 let files = match follower.poll() {
@@ -808,7 +769,7 @@ fn serve_follow(
                             for c in applier.apply(&batch) {
                                 eprintln!("ingest: {}: conflict {c}", path.display());
                             }
-                            let generation = publish(&applier);
+                            let generation = applier.publish_sharded(&fleet);
                             eprintln!(
                                 "ingested {} ({events} events) -> {} licenses, generation {generation}",
                                 date.to_iso(),
@@ -819,21 +780,12 @@ fn serve_follow(
                     }
                 }
             }
-        })
-    };
-    let stats = match &target {
-        Target::Single(store) => {
-            let live = hft_serve::LiveService::new(Arc::clone(store));
-            run_serve(server, &live, http)
-        }
-        Target::Fleet(fleet) => {
-            let router = hft_serve::ShardRouter::over(fleet);
-            run_serve(server, &router, http)
-        }
-    };
-    stop.store(true, Ordering::Relaxed);
-    let _ = ingester.join();
-    stats
+        });
+        let stats = run_serve(server, &hft_serve::ShardRouter::over(&fleet), http);
+        stop.store(true, Ordering::Relaxed);
+        let _ = ingester.join();
+        stats
+    })
 }
 
 /// The `ingest` command: render the generated corpus's event history as
