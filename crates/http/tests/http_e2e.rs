@@ -253,6 +253,13 @@ fn pages_render_with_correct_content_types() {
             };
             let counts = format!("<tr><td>{towers}</td><td>{links}</td>");
             assert!(page.text().contains(&counts), "{name}: {counts}");
+            // The map is drawn from the owning shard's engine: one
+            // circle per tower, one line per link.
+            let drawn = (
+                page.text().matches("<circle").count(),
+                page.text().matches("<line").count(),
+            );
+            assert_eq!(drawn, (towers as usize, links as usize), "{name}");
         }
 
         // Keep-alive: the same connection serves every request below.
