@@ -570,10 +570,13 @@ pub struct Ingested {
 ///
 /// `open` builds the fleet from the applier seeded with the first half,
 /// and `publish` publishes the applier's corpus to it, returning the
-/// new generation. Before each publish the from-scratch rebuild of the
-/// corpus is registered as that generation's reference, so a pinned
-/// answer always finds it, and a fault in the incrementally maintained
-/// indexes shows as a wrong answer.
+/// new generation. The tail's batches fall due on a fixed schedule,
+/// evenly spread over `plan.seconds`, so a cheaper publish changes
+/// neither the run's length nor its publish cadence. Before each
+/// publish the from-scratch rebuild of the corpus is registered as
+/// that generation's reference, so a pinned answer always finds it,
+/// and a fault in the incrementally maintained indexes shows as a
+/// wrong answer.
 ///
 /// Each client reads the generation vector before sending and after
 /// receiving. When both reads are equal and uniform, the answer belongs
@@ -652,6 +655,7 @@ pub fn serve_under_ingest(
                     generation = publish(applier, &store);
                 };
                 let mut replay = || {
+                    let replay_started = Instant::now();
                     for (i, batch) in tail.iter().enumerate() {
                         if let Some(conflict) = applier.apply(batch).first() {
                             return Err(format!("ingest conflict: {conflict}"));
@@ -659,7 +663,11 @@ pub fn serve_under_ingest(
                         if (i + 1) % plan.publish_every == 0 {
                             publish_next(&applier);
                         }
-                        std::thread::sleep(pace);
+                        // Batch i is due at a fixed time, however long
+                        // the apply and publish took, so the run length
+                        // does not depend on publish cost.
+                        let due = replay_started + pace * (i as u32 + 1);
+                        std::thread::sleep(due.saturating_duration_since(Instant::now()));
                     }
                     publish_next(&applier);
                     Ok(())
