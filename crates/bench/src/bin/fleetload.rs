@@ -139,7 +139,12 @@ fn run_fleet(
     };
     eprint!("fleet n={shards} ({}): ", args.strategy.name());
     let open = |applier: &Applier| {
-        ShardedStore::seeded(applier.db(), shards, args.strategy, applier.last_date())
+        ShardedStore::seeded(
+            &applier.db_arc(),
+            shards,
+            args.strategy,
+            applier.last_date(),
+        )
     };
     let run = load::serve_under_ingest(&plan, open, Applier::publish_sharded)?;
     let t = &run.tally;

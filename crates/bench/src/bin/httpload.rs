@@ -27,6 +27,7 @@ use hft_time::Date;
 use hft_uls::shard::ShardStrategy;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Route classes, in report order.
@@ -225,15 +226,16 @@ fn run() -> Result<(), String> {
     }
     let eco = load::corpus(seed);
     let mut licensees = eco.connected_2020.clone();
+    let db = Arc::new(eco.db);
     licensees.sort();
-    let mix = workload(&Service::new(&eco.db), &licensees);
+    let mix = workload(&Service::new(&db), &licensees);
     eprintln!(
         "mix: {} entries over {} routes, {concurrency} clients, {seconds}s",
         mix.len(),
         ROUTES.len(),
     );
 
-    let store = ShardedStore::seeded(&eco.db, 1, ShardStrategy::LicenseeHash, None);
+    let store = ShardedStore::seeded(&db, 1, ShardStrategy::LicenseeHash, None);
     let router = ShardRouter::over(&store);
     let explorer = HttpExplorer::new(&router);
     let extra = ExtraListener::bind("127.0.0.1:0", &explorer).map_err(|e| format!("bind: {e}"))?;

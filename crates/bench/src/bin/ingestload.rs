@@ -141,7 +141,7 @@ fn run() -> Result<(), String> {
     };
     let open = |applier: &Applier| {
         ShardedStore::seeded(
-            applier.db(),
+            &applier.db_arc(),
             1,
             ShardStrategy::LicenseeHash,
             applier.last_date(),

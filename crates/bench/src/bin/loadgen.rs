@@ -48,6 +48,7 @@ use hft_serve::{Proto, ServeConfig, Service, ShardRouter, WireTrace};
 use hft_time::Date;
 use hft_uls::shard::ShardStrategy;
 use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage: loadgen [--connect ADDR] [--seconds S] [--concurrency N] \
@@ -464,13 +465,14 @@ fn run() -> Result<(), String> {
     let args = Args::parse()?;
     let eco = load::corpus(args.seed);
     let mut licensees = eco.connected_2020.clone();
+    let db = Arc::new(eco.db);
     licensees.sort();
     let mix = workload(&licensees);
 
     // Ground truth: the same requests answered by a direct in-process
     // session, encoded with the same canonical codec.
     eprintln!("computing {} expected answers locally...", mix.len());
-    let reference = Service::new(&eco.db);
+    let reference = Service::new(&db);
     let expected = mix.iter().map(|r| reference.handle(r).encode()).collect();
 
     // Optional per-shard latency breakout: attribute each request to the
@@ -480,7 +482,7 @@ fn run() -> Result<(), String> {
     let attr = match args.shards {
         0 => Vec::new(),
         n => {
-            let fleet = ShardedStore::seeded(&eco.db, n, ShardStrategy::LicenseeHash, None);
+            let fleet = ShardedStore::seeded(&db, n, ShardStrategy::LicenseeHash, None);
             load::attribution(&mix, &ShardRouter::over(&fleet))
         }
     };
@@ -500,7 +502,7 @@ fn run() -> Result<(), String> {
             ..ServeConfig::default()
         };
         let before = hft_obs::global().snapshot();
-        let served = load::self_host(config, &Service::new(&eco.db), &[], |addr| {
+        let served = load::self_host(config, &Service::new(&db), &[], |addr| {
             eprintln!("[{}] self-hosting on {addr}", proto.name());
             replay.phases(&addr, proto, &args)
         })?;

@@ -27,6 +27,7 @@ use hft_serve::api::{Request, Response};
 use hft_serve::{Proto, ServeConfig, Service, ShardRouter};
 use hft_time::Date;
 use hft_uls::shard::ShardStrategy;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage: raceload [--seconds S] [--shards N] [--seed N] [--out PATH]";
@@ -80,6 +81,7 @@ fn run() -> Result<(), String> {
     }
     let eco = load::corpus(seed);
     let mut licensees = eco.connected_2020.clone();
+    let db = Arc::new(eco.db);
     licensees.sort();
     licensees.truncate(3);
     if licensees.is_empty() {
@@ -93,10 +95,10 @@ fn run() -> Result<(), String> {
     // engine's caches; the fleet's counters are measured from a snapshot
     // taken afterwards so the reference run never inflates the hit rate.
     eprintln!("computing {} expected answers locally...", mix.len());
-    let reference = Service::new(&eco.db);
+    let reference = Service::new(&db);
     let expected: Vec<Vec<u8>> = mix.iter().map(|r| reference.handle(r).encode()).collect();
 
-    let fleet = ShardedStore::seeded(&eco.db, shards, ShardStrategy::LicenseeHash, None);
+    let fleet = ShardedStore::seeded(&db, shards, ShardStrategy::LicenseeHash, None);
     let config = ServeConfig {
         workers: 8,
         queue_depth: 64,

@@ -266,7 +266,7 @@ fn references_build_one_engine_per_registered_generation() {
 
 #[test]
 fn attribution_names_exactly_the_shards_the_router_reaches() {
-    let db = UlsDatabase::from_licenses(licenses());
+    let db = Arc::new(UlsDatabase::from_licenses(licenses()));
     for strategy in [ShardStrategy::LicenseeHash, ShardStrategy::SpatialCell] {
         for shards in 1..=5 {
             let fleet = ShardedStore::seeded(&db, shards, strategy, None);
@@ -320,7 +320,7 @@ fn serve_under_ingest_verifies_a_single_store() {
     let mix = ingest_mix(&LICENSEES);
     let open = |applier: &Applier| {
         let strategy = ShardStrategy::LicenseeHash;
-        ShardedStore::seeded(applier.db(), 1, strategy, applier.last_date())
+        ShardedStore::seeded(&applier.db_arc(), 1, strategy, applier.last_date())
     };
     let run =
         load::serve_under_ingest(&plan(&batches, &mix), open, Applier::publish_sharded).unwrap();
@@ -341,7 +341,7 @@ fn serve_under_ingest_verifies_a_fleet() {
     let mix = ingest_mix(&LICENSEES);
     let open = |applier: &Applier| {
         let strategy = ShardStrategy::LicenseeHash;
-        ShardedStore::seeded(applier.db(), 2, strategy, applier.last_date())
+        ShardedStore::seeded(&applier.db_arc(), 2, strategy, applier.last_date())
     };
     let run =
         load::serve_under_ingest(&plan(&batches, &mix), open, Applier::publish_sharded).unwrap();
@@ -363,7 +363,7 @@ fn serve_under_ingest_counts_answers_its_reference_cannot_match() {
     let open = |applier: &Applier| {
         let mut served = applier.db().licenses().to_vec();
         served.push(license(40, "Zeta Links"));
-        let db = UlsDatabase::from_licenses(served);
+        let db = Arc::new(UlsDatabase::from_licenses(served));
         ShardedStore::seeded(&db, 1, ShardStrategy::LicenseeHash, applier.last_date())
     };
     let run = load::serve_under_ingest(&plan(&batches, &mix), open, |_, store| {

@@ -17,6 +17,7 @@ use hft_uls::{
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn lic(id: u64, name: &str, lat: f64, lon: f64) -> License {
@@ -180,7 +181,7 @@ impl HttpClient {
 /// even when `f` panics, so a failed assertion never deadlocks the
 /// scope join.
 fn with_server(f: impl Fn(SocketAddr, SocketAddr, &Service<'_>)) {
-    let db = corpus();
+    let db = Arc::new(corpus());
     let single = Service::new(&db);
     for (shards, strategy) in FLEETS {
         let store = ShardedStore::seeded(&db, shards, strategy, None);
@@ -470,7 +471,7 @@ fn panicking_telemetry_answers_error_over_http() {
     // answering fails the reads below on their timeout instead of
     // hanging the test.
     let serving = std::thread::spawn(move || {
-        let store = ShardedStore::seeded(&corpus(), 1, ShardStrategy::LicenseeHash, None);
+        let store = ShardedStore::seeded(&Arc::new(corpus()), 1, ShardStrategy::LicenseeHash, None);
         let host = PanicsOnStats(ShardRouter::over(&store));
         let server = Server::bind(ServeConfig {
             addr: "127.0.0.1:0".into(),

@@ -118,6 +118,12 @@ impl Applier {
         &self.db
     }
 
+    /// The working corpus as a shared handle. While it is held, the
+    /// next batch folds into a copy instead of in place.
+    pub fn db_arc(&self) -> Arc<UlsDatabase> {
+        Arc::clone(&self.db)
+    }
+
     /// Running totals.
     pub fn stats(&self) -> ApplyStats {
         self.stats

@@ -6,11 +6,12 @@
 //! index, and the sorted licensee-name cache. A second property checks
 //! that the final corpus depends only on the event sequence, never on
 //! how it was split into batches. A third checks that a fleet's delta
-//! publish lands every shard on exactly a fresh partition's piece.
+//! publish lands every shard on exactly a fresh partition's piece, and
+//! never patches a corpus a reader still holds.
 
 use hft_geodesy::LatLon;
 use hft_ingest::model::apply_events;
-use hft_ingest::{Applier, DumpBatch, DumpEvent, ShardedStore};
+use hft_ingest::{Applier, CorpusSnapshot, DumpBatch, DumpEvent, ShardedStore};
 use hft_time::Date;
 use hft_uls::shard::{partition, ShardStrategy};
 use hft_uls::{
@@ -160,6 +161,28 @@ fn publish_and_check(fleet: &ShardedStore, applier: &Applier) -> Result<(), Test
     Ok(())
 }
 
+/// A reader holding one shard's snapshot, with the deep copy taken
+/// when it was acquired and the batch after which it lets go.
+struct Reader {
+    snapshot: Arc<CorpusSnapshot>,
+    acquired: UlsDatabase,
+    until: usize,
+}
+
+/// Release every reader due by batch `now`, checking first that no
+/// publish patched the corpus it was reading.
+fn release(readers: &mut Vec<Reader>, now: usize) -> Result<(), TestCaseError> {
+    for reader in readers.iter().filter(|r| r.until <= now) {
+        prop_assert!(
+            *reader.snapshot.db() == reader.acquired,
+            "a held generation-{} corpus was patched",
+            reader.snapshot.generation()
+        );
+    }
+    readers.retain(|r| r.until > now);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -207,23 +230,37 @@ proptest! {
     /// 1-4 shards, under either strategy, keeps each shard equal to a
     /// fresh partition of the corpus. The stream's updates move licenses
     /// between licensees (and so between shards), and one rewind to an
-    /// earlier corpus mid-stream takes the rebuild path.
+    /// earlier corpus mid-stream takes the rebuild path. Readers take a
+    /// shard's snapshot after some batches and hold it for 1-3 more:
+    /// while one holds a corpus, a later change must copy rather than
+    /// patch it, and once it lets go the corpus may be patched again.
+    /// Every held corpus must still equal its copy when released.
     #[test]
     fn sharded_publish_equals_a_fresh_partition(
         specs in proptest::collection::vec(arb_event(), 0..60),
         splits in arb_splits(60),
         rewind in 0usize..64,
+        holds in proptest::collection::vec((0usize..64, 0usize..4, 1usize..4), 0..8),
     ) {
         let batches = to_batches(&specs, &splits);
         let rewind_at = rewind % batches.len().max(1);
         for strategy in [ShardStrategy::LicenseeHash, ShardStrategy::SpatialCell] {
             for shards in 1..=4 {
                 let mut applier = Applier::new(UlsDatabase::new());
-                let fleet = ShardedStore::seeded(applier.db(), shards, strategy, None);
+                let fleet = ShardedStore::seeded(&applier.db_arc(), shards, strategy, None);
                 let mut saved = Arc::new(UlsDatabase::new());
+                let mut readers = Vec::new();
                 for (i, batch) in batches.iter().enumerate() {
                     applier.apply(batch);
                     publish_and_check(&fleet, &applier)?;
+                    for &(at, shard, hold) in &holds {
+                        if at % batches.len() == i {
+                            let snapshot = fleet.shard(shard % shards).current();
+                            let acquired = snapshot.db().clone();
+                            readers.push(Reader { snapshot, acquired, until: i + hold });
+                        }
+                    }
+                    release(&mut readers, i)?;
                     if i == rewind_at / 2 {
                         saved = Arc::new(applier.db().clone());
                     }
@@ -232,6 +269,7 @@ proptest! {
                         publish_and_check(&fleet, &applier)?;
                     }
                 }
+                release(&mut readers, usize::MAX)?;
             }
         }
     }

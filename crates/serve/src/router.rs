@@ -485,7 +485,7 @@ mod tests {
 
     #[test]
     fn sharded_answers_match_single_corpus_bytes() {
-        let db = corpus();
+        let db = Arc::new(corpus());
         let single = Service::new(&db);
         for strategy in [ShardStrategy::LicenseeHash, ShardStrategy::SpatialCell] {
             for n in [1usize, 2, 3, 5] {
@@ -502,7 +502,7 @@ mod tests {
 
     #[test]
     fn router_follows_per_shard_generations() {
-        let db = corpus();
+        let db = Arc::new(corpus());
         let store = ShardedStore::seeded(&db, 3, ShardStrategy::LicenseeHash, None);
         let router = ShardRouter::over(&store);
         let geo = Request::Geographic {
@@ -537,7 +537,7 @@ mod tests {
 
     #[test]
     fn shard_workers_report_labeled_counters() {
-        let db = corpus();
+        let db = Arc::new(corpus());
         let store = ShardedStore::seeded(&db, 2, ShardStrategy::LicenseeHash, None);
         let router = ShardRouter::over(&store);
         let geo = Request::Geographic {
@@ -566,7 +566,7 @@ mod tests {
 
     #[test]
     fn spatial_point_requests_reach_one_shard() {
-        let db = corpus();
+        let db = Arc::new(corpus());
         let store = ShardedStore::seeded(&db, 4, ShardStrategy::SpatialCell, None);
         let router = ShardRouter::over(&store);
         let received = || -> Vec<u64> {
@@ -608,7 +608,7 @@ mod tests {
     fn shard_swaps_engines_with_the_store() {
         let alpha = |id: u64, lat: f64| lic(id, "Alpha Networks", lat, -88.17);
         let store = ShardedStore::seeded(
-            &UlsDatabase::from_licenses(vec![alpha(1, 41.0)]),
+            &Arc::new(UlsDatabase::from_licenses(vec![alpha(1, 41.0)])),
             1,
             ShardStrategy::LicenseeHash,
             None,
@@ -675,7 +675,7 @@ mod tests {
     fn memoized_networks_never_leak_across_generations() {
         let alpha = |id: u64, lat: f64| lic(id, "Alpha Networks", lat, -88.17);
         let store = ShardedStore::seeded(
-            &UlsDatabase::from_licenses(vec![alpha(1, 41.0)]),
+            &Arc::new(UlsDatabase::from_licenses(vec![alpha(1, 41.0)])),
             1,
             ShardStrategy::LicenseeHash,
             None,
@@ -699,7 +699,7 @@ mod tests {
 
     #[test]
     fn merged_stats_aggregate_across_shards() {
-        let db = corpus();
+        let db = Arc::new(corpus());
         let store = ShardedStore::seeded(&db, 2, ShardStrategy::LicenseeHash, None);
         let router = ShardRouter::over(&store);
         let net = Request::Network {
@@ -720,7 +720,7 @@ mod tests {
 
     #[test]
     fn traced_scatter_runs_its_legs_in_shard_order_under_one_root() {
-        let db = corpus();
+        let db = Arc::new(corpus());
         let store = ShardedStore::seeded(&db, 4, ShardStrategy::LicenseeHash, None);
         let router = ShardRouter::over(&store);
         // Built sampled, so the tree is filed without touching the
@@ -795,7 +795,7 @@ mod tests {
 
     #[test]
     fn panicking_leg_answers_error_and_the_fleet_recovers() {
-        let db = corpus();
+        let db = Arc::new(corpus());
         let single = Service::new(&db);
         let store = ShardedStore::seeded(&db, 4, ShardStrategy::LicenseeHash, None);
         let router = Arc::new(ShardRouter::over(&store));

@@ -14,6 +14,7 @@ use hft_uls::{
     CallSign, FrequencyAssignment, License, LicenseId, MicrowavePath, RadioService, StationClass,
     TowerSite, UlsDatabase,
 };
+use std::sync::Arc;
 
 const LICENSEES: [&str; 4] = [
     "Alpha Networks",
@@ -49,7 +50,7 @@ fn corpus(extra: usize) -> UlsDatabase {
 
 #[test]
 fn shutdown_snapshot_matches_the_last_stats_answer() {
-    let store = ShardedStore::seeded(&corpus(0), 2, ShardStrategy::LicenseeHash, None);
+    let store = ShardedStore::seeded(&Arc::new(corpus(0)), 2, ShardStrategy::LicenseeHash, None);
     let router = ShardRouter::over(&store);
     let server = Server::bind(ServeConfig {
         addr: "127.0.0.1:0".into(),

@@ -17,7 +17,7 @@ use hft_uls::{
     TowerSite, UlsDatabase,
 };
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// A small licensee pool so random corpora reliably give some
 /// licensees several licenses (the co-location property is vacuous
@@ -258,7 +258,7 @@ proptest! {
         strategy in strategy(),
         requests in proptest::collection::vec(request(), 1..6),
     ) {
-        let store = ShardedStore::seeded(&db, shards, strategy, None);
+        let store = ShardedStore::seeded(&Arc::new(db.clone()), shards, strategy, None);
         let router = ShardRouter::over(&store);
         let next = edited(&db, &edits);
         for (generation, corpus) in [&db, &next].into_iter().enumerate() {

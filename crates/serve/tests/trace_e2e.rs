@@ -14,7 +14,7 @@ use hft_serve::api::{Request, Response};
 use hft_serve::{Client, Proto, ServeConfig, Server, ShardRouter};
 use hft_uls::shard::ShardStrategy;
 use std::collections::BTreeSet;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 fn eco() -> &'static GeneratedEcosystem {
     static ECO: OnceLock<GeneratedEcosystem> = OnceLock::new();
@@ -30,7 +30,12 @@ fn scatter_request_yields_cross_shard_waterfall() {
     hft_obs::clear_traces();
 
     let eco = eco();
-    let store = ShardedStore::seeded(&eco.db, 4, ShardStrategy::LicenseeHash, None);
+    let store = ShardedStore::seeded(
+        &Arc::new(eco.db.clone()),
+        4,
+        ShardStrategy::LicenseeHash,
+        None,
+    );
     let router = ShardRouter::over(&store);
     let server = Server::bind(ServeConfig {
         addr: "127.0.0.1:0".into(),
