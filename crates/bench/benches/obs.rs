@@ -2,9 +2,9 @@
 //!
 //! Measures the serve hot path — warm cached `Service::handle` calls on
 //! the route/APA mix — with the telemetry runtime enabled versus killed
-//! via `hft_obs::set_enabled(false)` (the runtime proxy for the `off`
-//! compile-out feature), plus the raw primitive costs (counter incr,
-//! histogram record, span enter/exit). A second phase self-hosts an
+//! via `hft_obs::set_enabled(false)`, plus the raw primitive costs
+//! (counter incr, histogram record, and an unsampled trace root holding
+//! one span, opened and closed). A second phase self-hosts an
 //! evented server and round-trips the same mix over the binary wire
 //! with the trace recorder off (stride 0) versus capturing every
 //! request (stride 1) — the distributed-tracing overhead on the
@@ -23,6 +23,7 @@ use hft_serve::api::Request;
 use hft_serve::{Client, Proto, ServeConfig, Service};
 use hft_time::Date;
 use std::sync::OnceLock;
+use std::time::Instant;
 
 fn eco() -> &'static GeneratedEcosystem {
     static ECO: OnceLock<GeneratedEcosystem> = OnceLock::new();
@@ -84,7 +85,15 @@ fn bench_primitives(c: &mut Criterion, suffix: &str) {
         })
     });
     g.bench_function(format!("span_{suffix}"), |b| {
+        // Unsampled and never slow (the threshold is out of reach), so
+        // the tree is dropped at close, as most requests' trees are.
+        let ctx = hft_obs::TraceContext {
+            trace_id: 1,
+            sampled: false,
+        };
+        let started = Instant::now();
         b.iter(|| {
+            let _root = hft_obs::trace_root("bench.obs.request", "bench", ctx, started);
             let _span = hft_obs::span("bench.obs.span");
         })
     });
@@ -157,9 +166,9 @@ fn main() {
     let licensee = eco.connected_2020.first().expect("modeled networks");
     let mix = warm_mix(licensee);
 
-    // Slow-query capture would retain every handle() tree if the bench
-    // machine stalls; push the threshold out of reach so the rings stay
-    // bounded and the comparison measures recording, not draining.
+    // Tail capture would file every traced tree the bench machine
+    // stalls on; push the threshold out of reach so the traced arms
+    // differ only in their head-sampling stride.
     hft_obs::set_slow_threshold_ns(u64::MAX);
 
     let service = Service::new(&eco.db);
@@ -179,7 +188,6 @@ fn main() {
     bench_primitives(&mut criterion, "disabled");
     hft_obs::set_enabled(true);
     bench_wire(&mut criterion, &service, &mix);
-    hft_obs::take_samples();
 
     let results = criterion.results();
     let mut entries: Vec<_> = results

@@ -228,7 +228,6 @@ mod tests {
         let inside = Barrier::new(2);
         let traced = |id: u128| hft_obs::TraceContext {
             trace_id: id,
-            span_id: 1,
             sampled: true,
         };
         let (filler_id, waiter_id) = (0xf111_u128 << 64, 0xa17_u128 << 64);

@@ -543,7 +543,7 @@ pub fn trace_page(r: &hft_obs::TraceRecord) -> String {
         slow = if r.slow { " · <b>slow</b>" } else { "" },
         sampled = if r.sampled { " · sampled" } else { "" },
         n = spans.len(),
-        rendered = html_escape(&r.tree.render()),
+        rendered = html_escape(&hft_serve::WireTrace::of(r).render()),
     );
     page(&format!("Trace {}…", &id[..8]), &body)
 }

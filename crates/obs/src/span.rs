@@ -1,21 +1,22 @@
-//! Lightweight span tracing: scoped guards capture nested timing trees
-//! per thread, completed trees are sampled into a per-thread ring, and
-//! any tree whose root exceeds the slow threshold lands in a global
-//! slow-query log.
+//! Lightweight span tracing: scoped guards capture a request's nested
+//! timing tree on the thread that answers it, and the finished tree is
+//! filed into the flight recorder when it was head-sampled or slow.
 //!
 //! # Model
 //!
-//! [`span`] opens a span on the current thread and returns a guard;
-//! dropping the guard closes it. Guards nest lexically (they are
-//! `!Send` scope guards), so the per-thread open stack always closes in
-//! LIFO order and a finished tree can never contain an orphaned span.
-//! When the *root* guard drops, the whole tree is finalized at once:
-//!
-//! * root duration ≥ [`slow_threshold_ns`] → pushed to the global slow
-//!   log (bounded; oldest entries fall off) and `obs.slow_queries` is
-//!   bumped in the global registry;
-//! * otherwise every `sample_every`-th tree is kept in a per-thread
-//!   ring buffer ([`take_samples`]).
+//! [`trace_root`] is the only way a tree starts: it opens the root span
+//! under a [`crate::trace::TraceContext`] and sets the tree's time
+//! origin. [`span`] and [`span_sharded`] open a span under the
+//! innermost open one and return a guard; dropping the guard closes it.
+//! With no tree open on the thread they record nothing, so a memo fill
+//! or an ingest fold that runs outside a request costs one thread-local
+//! check. Guards nest lexically (they are `!Send` scope guards), so the
+//! per-thread open stack always closes in LIFO order and a finished
+//! tree can never contain an orphaned span. When the root guard drops,
+//! the whole tree is finalized at once: a root that lasted at least
+//! [`slow_threshold_ns`] bumps `obs.slow_queries`, and a tree that was
+//! head-sampled or slow is filed into the flight recorder
+//! ([`crate::trace`]) keyed by trace id. Anything else is dropped.
 //!
 //! Trees are per thread by construction. A fan-out request runs its
 //! shard legs in turn on the answering thread, so it finalizes as one
@@ -23,39 +24,24 @@
 //! opened without a shard takes its parent's, so everything inside a
 //! leg reads that leg's shard.
 //!
-//! A tree opened with [`trace_root`] additionally carries a
-//! [`crate::trace::TraceContext`]; when such a tree finalizes and was
-//! head-sampled or slow, a copy is filed into the flight recorder
-//! ([`crate::trace`]) keyed by trace id.
-//!
 //! All bookkeeping is thread-local; the only shared state touched on a
-//! hot path is one relaxed load of the kill switch, and the slow-log
-//! mutex is taken only when a slow tree actually completes.
+//! hot path is one relaxed load of the kill switch, and the recorder's
+//! per-thread ring is locked only when a kept tree is filed.
 
-use crate::trace::TraceContext;
+use crate::trace::{TraceContext, TraceRecord};
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
-
-/// Slow-log capacity; oldest entries are dropped beyond this.
-pub const SLOW_LOG_CAP: usize = 32;
-/// Per-thread sampled-tree ring capacity.
-pub const SAMPLE_RING_CAP: usize = 16;
 
 /// Default slow threshold: 50 ms.
 const DEFAULT_SLOW_NS: u64 = 50_000_000;
-/// Default sampling stride: every 64th completed tree.
-const DEFAULT_SAMPLE_EVERY: u64 = 64;
 
 static SLOW_NS: AtomicU64 = AtomicU64::new(DEFAULT_SLOW_NS);
-static SAMPLE_EVERY: AtomicU64 = AtomicU64::new(DEFAULT_SAMPLE_EVERY);
-static SLOW_LOG: Mutex<VecDeque<SpanTree>> = Mutex::new(VecDeque::new());
 
-/// Set the root-duration threshold (ns) above which a completed tree
-/// enters the slow-query log.
+/// Set the root-duration threshold (ns) at or above which a closing
+/// trace root is tail-captured into the flight recorder and counted in
+/// `obs.slow_queries`.
 pub fn set_slow_threshold_ns(ns: u64) {
     SLOW_NS.store(ns, Ordering::SeqCst);
 }
@@ -63,27 +49,6 @@ pub fn set_slow_threshold_ns(ns: u64) {
 /// The current slow threshold in nanoseconds.
 pub fn slow_threshold_ns() -> u64 {
     SLOW_NS.load(Ordering::Relaxed)
-}
-
-/// Keep every `n`-th completed (non-slow) tree in the per-thread sample
-/// ring; `0` disables sampling.
-pub fn set_sample_every(n: u64) {
-    SAMPLE_EVERY.store(n, Ordering::SeqCst);
-}
-
-/// The current sampling stride.
-pub fn sample_every() -> u64 {
-    SAMPLE_EVERY.load(Ordering::Relaxed)
-}
-
-/// Drain the global slow-query log, oldest first.
-pub fn take_slow_queries() -> Vec<SpanTree> {
-    SLOW_LOG.lock().expect("slow log").drain(..).collect()
-}
-
-/// Drain the calling thread's sampled-tree ring, oldest first.
-pub fn take_samples() -> Vec<SpanTree> {
-    TLS.with(|t| t.borrow_mut().samples.drain(..).collect())
 }
 
 /// One closed span inside a [`SpanTree`].
@@ -152,28 +117,6 @@ impl SpanTree {
         }
         Ok(())
     }
-
-    /// An indented one-span-per-line rendering for logs.
-    pub fn render(&self) -> String {
-        let mut depth = vec![0usize; self.spans.len()];
-        let mut out = String::new();
-        for (i, s) in self.spans.iter().enumerate() {
-            if let Some(p) = s.parent {
-                depth[i] = depth[p as usize] + 1;
-            }
-            for _ in 0..depth[i] {
-                out.push_str("  ");
-            }
-            out.push_str(s.name);
-            out.push(' ');
-            out.push_str(&format_ns(s.dur_ns));
-            if let Some(shard) = s.shard {
-                out.push_str(&format!(" [shard {shard}]"));
-            }
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Human-scale duration rendering (`873ns`, `14.2us`, `3.4ms`, `1.20s`).
@@ -189,14 +132,18 @@ pub fn format_ns(ns: u64) -> String {
     }
 }
 
+/// The open tree's time origin and the identity it was opened with.
+struct OpenRoot {
+    started: Instant,
+    ctx: TraceContext,
+    label: &'static str,
+}
+
 struct ThreadSpans {
     spans: Vec<SpanRecord>,
     open: Vec<u32>,
-    root_start: Option<Instant>,
-    completed: u64,
-    samples: VecDeque<SpanTree>,
-    /// Trace identity the current tree was opened with ([`trace_root`]).
-    trace: Option<(TraceContext, &'static str)>,
+    /// Set by [`trace_root`] while its tree is open.
+    root: Option<OpenRoot>,
 }
 
 impl ThreadSpans {
@@ -240,39 +187,30 @@ thread_local! {
         RefCell::new(ThreadSpans {
             spans: Vec::new(),
             open: Vec::new(),
-            root_start: None,
-            completed: 0,
-            samples: VecDeque::new(),
-            trace: None,
+            root: None,
         })
     };
 }
 
 fn open_span(name: &'static str, shard: Option<u32>) -> SpanGuard {
-    if !crate::enabled() {
-        return SpanGuard {
-            active: false,
-            _not_send: PhantomData,
-        };
-    }
-    TLS.with(|t| {
-        let mut t = t.borrow_mut();
-        let start_ns = match t.root_start {
-            Some(root) => root.elapsed().as_nanos() as u64,
-            None => {
-                t.root_start = Some(Instant::now());
-                0
-            }
-        };
-        t.push_open(name, start_ns, shard);
-    });
+    let active = crate::enabled()
+        && TLS.with(|t| {
+            let mut t = t.borrow_mut();
+            let Some(root) = &t.root else {
+                return false;
+            };
+            let start_ns = root.started.elapsed().as_nanos() as u64;
+            t.push_open(name, start_ns, shard);
+            true
+        });
     SpanGuard {
-        active: true,
+        active,
         _not_send: PhantomData,
     }
 }
 
-/// Open a span named `name` on the current thread. Close it by
+/// Open a span named `name` under the innermost open span of this
+/// thread's tree; with no tree open it records nothing. Close it by
 /// dropping the guard; guards must nest lexically (the guard is not
 /// `Send` and should be bound to a scope).
 #[inline]
@@ -286,37 +224,6 @@ pub fn span(name: &'static str) -> SpanGuard {
 #[inline]
 pub fn span_sharded(name: &'static str, shard: u32) -> SpanGuard {
     open_span(name, Some(shard))
-}
-
-/// Like [`span`], but records only when a tree is already open on this
-/// thread. A lone child would otherwise finalize as a single-span root
-/// tree — full tree bookkeeping (two clock reads, finalize, ring
-/// bookkeeping) for a record nothing can attribute to a request. Use
-/// it for hot-path markers that are only meaningful inside an
-/// enclosing traced request.
-pub fn child_span(name: &'static str) -> SpanGuard {
-    if !crate::enabled() {
-        return SpanGuard {
-            active: false,
-            _not_send: PhantomData,
-        };
-    }
-    let active = TLS.with(|t| {
-        let mut t = t.borrow_mut();
-        if t.open.is_empty() {
-            return false;
-        }
-        let start_ns = match t.root_start {
-            Some(root) => root.elapsed().as_nanos() as u64,
-            None => 0,
-        };
-        t.push_open(name, start_ns, None);
-        true
-    });
-    SpanGuard {
-        active,
-        _not_send: PhantomData,
-    }
 }
 
 /// Open a **traced root** span: the tree's time origin is backdated to
@@ -341,21 +248,15 @@ pub fn trace_root(
     }
     let fresh = TLS.with(|t| {
         let mut t = t.borrow_mut();
-        if !t.open.is_empty() {
+        if t.root.is_some() {
             return false;
         }
-        t.root_start = Some(started);
-        if ctx.trace_id != 0 {
-            t.trace = Some((ctx, label));
-        }
-        t.spans.push(SpanRecord {
-            name,
-            parent: None,
-            start_ns: 0,
-            dur_ns: 0,
-            shard: None,
+        t.root = Some(OpenRoot {
+            started,
+            ctx,
+            label,
         });
-        t.open.push(0);
+        t.push_open(name, 0, None);
         true
     });
     if !fresh {
@@ -387,11 +288,11 @@ pub fn annotate_since(name: &'static str, started: Instant) {
     }
     TLS.with(|t| {
         let mut t = t.borrow_mut();
-        let Some(root) = t.root_start else {
+        let Some(root) = &t.root else {
             return;
         };
-        let start_ns = started.saturating_duration_since(root).as_nanos() as u64;
-        let end_ns = root.elapsed().as_nanos() as u64;
+        let start_ns = started.saturating_duration_since(root.started).as_nanos() as u64;
+        let end_ns = root.started.elapsed().as_nanos() as u64;
         t.push_closed(name, start_ns, end_ns.saturating_sub(start_ns));
     });
 }
@@ -410,66 +311,38 @@ impl Drop for SpanGuard {
         }
         let finished = TLS.with(|t| {
             let mut t = t.borrow_mut();
-            let Some(idx) = t.open.pop() else {
+            let (Some(idx), Some(root)) = (t.open.pop(), &t.root) else {
                 return None; // tree was torn down mid-flight; ignore
             };
-            let end_ns = t
-                .root_start
-                .map(|root| root.elapsed().as_nanos() as u64)
-                .unwrap_or(0);
+            let end_ns = root.started.elapsed().as_nanos() as u64;
             let rec = &mut t.spans[idx as usize];
             rec.dur_ns = end_ns.saturating_sub(rec.start_ns);
             if !t.open.is_empty() {
                 return None;
             }
             // Root closed: take the whole tree.
-            let spans = std::mem::take(&mut t.spans);
-            t.root_start = None;
-            let trace = t.trace.take();
-            let tree = SpanTree { spans };
-            t.completed += 1;
-            let tick = t.completed;
-            if tree.total_ns() >= slow_threshold_ns() {
-                Some((tree, true, tick, trace))
-            } else {
-                Some((tree, false, tick, trace))
-            }
+            let root = t.root.take()?;
+            let tree = SpanTree {
+                spans: std::mem::take(&mut t.spans),
+            };
+            Some((root, tree))
         });
-        let Some((tree, slow, tick, trace)) = finished else {
+        let Some((root, tree)) = finished else {
             return;
         };
-        // File a flight-recorder copy before the tree itself moves into
-        // the slow log / sample ring (clone only for kept traces).
-        if let Some((ctx, label)) = trace {
-            if ctx.sampled || slow {
-                crate::trace::record(crate::trace::TraceRecord {
-                    trace_id: ctx.trace_id,
-                    label,
-                    sampled: ctx.sampled,
-                    slow,
-                    total_ns: tree.total_ns(),
-                    tree: tree.clone(),
-                });
-            }
-        }
+        let slow = tree.total_ns() >= slow_threshold_ns();
         if slow {
             crate::global().counter("obs.slow_queries").incr();
-            let mut log = SLOW_LOG.lock().expect("slow log");
-            if log.len() == SLOW_LOG_CAP {
-                log.pop_front();
-            }
-            log.push_back(tree);
-        } else {
-            let every = sample_every();
-            if every > 0 && tick % every == 0 {
-                TLS.with(|t| {
-                    let mut t = t.borrow_mut();
-                    if t.samples.len() == SAMPLE_RING_CAP {
-                        t.samples.pop_front();
-                    }
-                    t.samples.push_back(tree);
-                });
-            }
+        }
+        if root.ctx.trace_id != 0 && (root.ctx.sampled || slow) {
+            crate::trace::record(TraceRecord {
+                trace_id: root.ctx.trace_id,
+                label: root.label,
+                sampled: root.ctx.sampled,
+                slow,
+                total_ns: tree.total_ns(),
+                tree,
+            });
         }
     }
 }
@@ -478,8 +351,9 @@ impl Drop for SpanGuard {
 mod tests {
     use super::*;
 
-    // Span tests touching the global slow log / sampling knobs live in
-    // tests/span_tree.rs (their own process); here only pure helpers.
+    // Span tests touching the recorder and the process-global knobs live
+    // in tests/span_tree.rs and tests/trace_flow.rs (their own
+    // processes); here only pure helpers.
 
     #[test]
     fn check_rejects_malformed_trees() {
@@ -523,13 +397,11 @@ mod tests {
             dur_ns: 50,
             shard: Some(3),
         };
-        let tree = SpanTree {
+        SpanTree {
             spans: vec![root, good_child],
-        };
-        tree.check().unwrap();
-        let rendered = tree.render();
-        assert!(rendered.contains("r 100ns"));
-        assert!(rendered.contains("  c 50ns [shard 3]"));
+        }
+        .check()
+        .unwrap();
     }
 
     #[test]

@@ -1,19 +1,35 @@
-//! Span-nesting integration test (ISSUE 5 satellite): a forced slow
-//! request must produce a well-formed tree — no orphaned or
-//! negative-duration spans — and exactly one slow-query-log entry.
+//! Span-tree integration tests: the flight recorder keeps an unsampled
+//! request only when it is slow, as one well-formed tree with no
+//! orphaned or negative-duration spans; a span opened while no tree is
+//! open records nothing; and the kill switch stops recording.
 //!
 //! Runs as its own test binary because it owns the process-global
-//! tracing knobs (slow threshold, sampling stride, kill switch).
+//! tracing knobs (slow threshold, head-sampling stride, kill switch)
+//! and the process-wide flight recorder.
 
 use hft_obs::{
-    set_enabled, set_sample_every, set_slow_threshold_ns, span, take_samples, take_slow_queries,
+    clear_traces, find_trace, set_enabled, set_slow_threshold_ns, set_trace_sample_every, span,
+    span_sharded, trace_root, trace_snapshot, TraceContext,
 };
-use std::time::Duration;
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
-/// The canonical request shape from the ISSUE:
-/// `serve.request > singleflight.wait > session.networks > route.apa`.
-fn run_request(slow: bool) {
-    let _root = span("serve.request");
+/// Serializes the tests: both flip the process-global knobs and read
+/// the process-wide recorder and `obs.slow_queries`.
+static GLOBALS: Mutex<()> = Mutex::new(());
+
+/// A fresh context that head sampling did not pick.
+fn unsampled() -> TraceContext {
+    TraceContext {
+        sampled: false,
+        ..TraceContext::mint()
+    }
+}
+
+/// The canonical request shape:
+/// `serve.request > singleflight.wait, session.networks > route.apa`.
+fn run_request(ctx: TraceContext, slow: bool) {
+    let _root = trace_root("serve.request", "test", ctx, Instant::now());
     {
         let _wait = span("singleflight.wait");
         if slow {
@@ -29,37 +45,47 @@ fn run_request(slow: bool) {
     }
 }
 
-// One test function: the tracing knobs (threshold, stride, kill
-// switch) are process-global, so concurrent #[test]s would race on
-// them.
+fn names(ctx: TraceContext) -> Vec<&'static str> {
+    let rec = find_trace(ctx.trace_id).expect("trace kept");
+    rec.tree.spans.iter().map(|s| s.name).collect()
+}
+
 #[test]
 fn slow_request_yields_one_well_formed_tree() {
-    take_slow_queries();
-    set_sample_every(0);
+    let _globals = GLOBALS.lock().expect("globals");
+    set_trace_sample_every(0);
+    clear_traces();
 
-    // Fast requests below the threshold never reach the slow log.
+    // Fast unsampled requests below the threshold are not kept.
     set_slow_threshold_ns(u64::MAX);
     for _ in 0..10 {
-        run_request(false);
+        run_request(unsampled(), false);
     }
-    assert!(take_slow_queries().is_empty(), "no slow entries expected");
+    assert!(
+        trace_snapshot(usize::MAX).is_empty(),
+        "fast unsampled requests are not kept"
+    );
 
-    // One forced slow request -> exactly one slow-log entry.
+    // One forced slow request -> exactly one recorder entry.
     set_slow_threshold_ns(1_000_000); // 1 ms, far below the forced 10 ms
-    run_request(true);
+    let ctx = unsampled();
+    run_request(ctx, true);
     set_slow_threshold_ns(u64::MAX);
-    let slow = take_slow_queries();
-    assert_eq!(slow.len(), 1, "exactly one slow-query-log entry");
-    let tree = &slow[0];
+    let kept = trace_snapshot(usize::MAX);
+    assert_eq!(kept.len(), 1, "exactly one recorder entry");
+    let rec = &kept[0];
+    assert_eq!(rec.trace_id, ctx.trace_id);
+    assert!(rec.slow && !rec.sampled, "kept by tail capture alone");
+    assert_eq!(find_trace(ctx.trace_id).as_ref(), Some(rec));
 
     // Well-formed: single root, parents precede children, children
     // nest inside their parent's window (durations are u64, so a
     // negative duration cannot even be represented; `check` verifies
     // the windows are consistent).
+    let tree = &rec.tree;
     tree.check().expect("tree must be well-formed");
-    let names: Vec<&str> = tree.spans.iter().map(|s| s.name).collect();
     assert_eq!(
-        names,
+        names(ctx),
         [
             "serve.request",
             "singleflight.wait",
@@ -71,42 +97,64 @@ fn slow_request_yields_one_well_formed_tree() {
     assert_eq!(tree.spans[1].parent, Some(0));
     assert_eq!(tree.spans[2].parent, Some(0));
     assert_eq!(tree.spans[3].parent, Some(2), "route.apa nests in networks");
-    assert!(tree.total_ns() >= 10_000_000, "two 5 ms sleeps inside");
+    assert!(rec.total_ns >= 10_000_000, "two 5 ms sleeps inside");
+    assert_eq!(rec.total_ns, tree.total_ns());
     assert!(tree.spans[1].dur_ns <= tree.total_ns());
 
-    // The rendering indents by depth.
-    let rendered = tree.render();
-    assert!(rendered.starts_with("serve.request "));
-    assert!(rendered.contains("\n  singleflight.wait "));
-    assert!(rendered.contains("\n    route.apa "));
-
-    // --- Sampling and the kill switch ---
-    take_samples();
-
-    // Sampling stride 1 keeps every completed tree in the thread ring.
-    set_sample_every(1);
-    run_request(false);
-    run_request(false);
-    let samples = take_samples();
-    assert_eq!(samples.len(), 2);
-    for t in &samples {
-        t.check().expect("sampled trees are well-formed too");
-        assert_eq!(t.spans.len(), 4);
-    }
-
-    // Stride 0 disables sampling entirely.
-    set_sample_every(0);
-    run_request(false);
-    assert!(take_samples().is_empty());
-
-    // The kill switch suppresses capture altogether.
-    set_sample_every(1);
+    // --- The kill switch ---
+    set_trace_sample_every(1);
+    let ctx = TraceContext::mint();
+    assert!(ctx.sampled, "stride 1 samples every mint");
     set_enabled(false);
-    run_request(false);
+    run_request(ctx, false);
     set_enabled(true);
-    assert!(take_samples().is_empty(), "disabled spans record nothing");
+    assert!(
+        find_trace(ctx.trace_id).is_none(),
+        "disabled spans record nothing"
+    );
 
     // Re-enabled, capture resumes.
-    run_request(false);
-    assert_eq!(take_samples().len(), 1);
+    let ctx = TraceContext::mint();
+    run_request(ctx, false);
+    assert_eq!(names(ctx).len(), 4);
+    set_trace_sample_every(0);
+    clear_traces();
+}
+
+#[test]
+fn a_span_outside_a_tree_records_nothing() {
+    let _globals = GLOBALS.lock().expect("globals");
+    set_trace_sample_every(0);
+    clear_traces();
+    // Every closing root is slow under a zero threshold.
+    set_slow_threshold_ns(0);
+    let slow_queries = hft_obs::global().counter("obs.slow_queries");
+    let before = slow_queries.value();
+
+    {
+        let _lone = span("ingest.apply");
+        let _leg = span_sharded("shard.call", 3);
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(
+        trace_snapshot(usize::MAX).is_empty(),
+        "a lone span files no recorder entry"
+    );
+    assert_eq!(
+        slow_queries.value(),
+        before,
+        "a lone span is not a request and opens no root"
+    );
+
+    // Nothing leaks into the next tree, and that request counts.
+    let ctx = unsampled();
+    {
+        let _root = trace_root("serve.request", "next", ctx, Instant::now());
+    }
+    set_slow_threshold_ns(u64::MAX);
+    let rec = find_trace(ctx.trace_id).expect("the slow request is kept");
+    assert!(rec.slow && !rec.sampled);
+    assert_eq!(names(ctx), ["serve.request"]);
+    assert_eq!(slow_queries.value(), before + 1);
+    clear_traces();
 }

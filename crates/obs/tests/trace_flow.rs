@@ -5,8 +5,8 @@
 //! binary because it owns the process-global sampling/threshold knobs.
 
 use hft_obs::{
-    annotate, child_span, clear_traces, find_trace, set_slow_threshold_ns, set_trace_sample_every,
-    span, span_sharded, trace_root, trace_snapshot, TraceContext,
+    annotate, clear_traces, find_trace, set_slow_threshold_ns, set_trace_sample_every, span,
+    span_sharded, trace_root, trace_snapshot, TraceContext,
 };
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -36,7 +36,7 @@ fn traced_scatter_request_is_recorded_as_one_tree() {
         // leg opens its spans without a shard.
         for k in 0..2u32 {
             let _leg = span_sharded("shard.call", k);
-            let _lead = child_span("singleflight.lead");
+            let _lead = span("singleflight.lead");
             std::thread::sleep(Duration::from_millis(1));
         }
         drop(_scatter);
@@ -100,7 +100,6 @@ fn untraced_and_nested_paths_degrade_gracefully() {
     // An unsampled context records nothing.
     let quiet = TraceContext {
         trace_id: 42,
-        span_id: 7,
         sampled: false,
     };
     {

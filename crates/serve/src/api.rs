@@ -533,3 +533,56 @@ impl Request {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn wire_span(name: &str, parent: Option<u32>, start_ns: u64, dur_ns: u64) -> WireSpan {
+        WireSpan {
+            name: name.into(),
+            parent,
+            start_ns,
+            dur_ns,
+            shard: None,
+        }
+    }
+
+    #[test]
+    fn trace_renders_as_an_indented_waterfall() {
+        let mut trace = WireTrace {
+            trace_id: 0xfeed,
+            label: "geographic".into(),
+            sampled: false,
+            slow: true,
+            total_ns: 80_000_000,
+            spans: vec![
+                wire_span("serve.request", None, 0, 80_000_000),
+                wire_span("queue.wait", Some(0), 0, 4_000_000),
+                wire_span("router.scatter", Some(0), 4_000_000, 70_000_000),
+                WireSpan {
+                    shard: Some(1),
+                    ..wire_span("shard.call", Some(2), 4_500_000, 30_000_000)
+                },
+                WireSpan {
+                    shard: Some(1),
+                    ..wire_span("session.network", Some(3), 4_600_000, 14_200)
+                },
+            ],
+        };
+        assert_eq!(
+            trace.render(),
+            "trace 0000000000000000000000000000feed geographic 80.0ms SLOW\n\
+             \x20 serve.request +0ns 80.0ms\n\
+             \x20   queue.wait +0ns 4.0ms\n\
+             \x20   router.scatter +4.0ms 70.0ms\n\
+             \x20     shard.call +4.5ms 30.0ms [shard 1]\n\
+             \x20       session.network +4.6ms 14.2us [shard 1]\n"
+        );
+        trace.slow = false;
+        trace.sampled = true;
+        assert!(trace
+            .render()
+            .starts_with("trace 0000000000000000000000000000feed geographic 80.0ms sampled\n"));
+    }
+}

@@ -165,8 +165,8 @@ impl Queue {
             let response = {
                 // Root of each request's span tree, backdated to the
                 // enqueue instant so queue wait is inside the window;
-                // closing it files the tree into the sample ring, the
-                // slow-query log and (when traced) the flight recorder.
+                // closing it files the tree into the flight recorder
+                // when it was head-sampled or slow.
                 let _span =
                     hft_obs::trace_root("serve.request", job.request.kind(), job.ctx, job.enqueued);
                 hft_obs::annotate("queue.wait", 0, wait_ns);

@@ -50,8 +50,9 @@
 //! requests are always captured); `trace --connect` pulls the recorded
 //! waterfalls back out. With `--metrics-interval SECS` a background
 //! thread dumps the full telemetry registry every interval — atomically
-//! to `--metrics-out PATH`, or to stderr — and drains the slow-query
-//! log to stderr. Any analysis command accepts `--stats` to print the
+//! to `--metrics-out PATH`, or to stderr — and prints to stderr the
+//! waterfall of every slow request the flight recorder captured since
+//! the last dump. Any analysis command accepts `--stats` to print the
 //! session's cache counters as JSON after the run.
 //!
 //! `ingest` renders the generated corpus's full event history as daily
@@ -653,7 +654,8 @@ fn run_metrics(
 
 /// Background registry dumper for `serve --metrics-interval`: every
 /// `secs`, write the registry JSON to `out` (atomically, via a sibling
-/// temp file) or to stderr, and drain the slow-query log to stderr.
+/// temp file) or to stderr, and print each slow trace in the flight
+/// recorder that no earlier tick printed to stderr, with its trace id.
 fn spawn_metrics_dumper(
     secs: u64,
     out: Option<PathBuf>,
@@ -669,6 +671,8 @@ fn spawn_metrics_dumper(
     let handle = std::thread::spawn(move || {
         let interval = std::time::Duration::from_secs(secs);
         let tick = std::time::Duration::from_millis(50);
+        // Slow traces already printed and still in the recorder.
+        let mut printed = std::collections::HashSet::new();
         loop {
             // Sleep in short ticks so shutdown is prompt.
             let mut slept = std::time::Duration::ZERO;
@@ -689,13 +693,14 @@ fn spawn_metrics_dumper(
                 }
                 None => eprintln!("metrics: {json}"),
             }
-            for tree in hft_obs::take_slow_queries() {
-                eprintln!(
-                    "slow query ({:.1} ms):\n{}",
-                    tree.total_ns() as f64 / 1e6,
-                    tree.render()
-                );
+            let slow: Vec<_> = hft_obs::trace_snapshot(usize::MAX)
+                .into_iter()
+                .filter(|r| r.slow)
+                .collect();
+            for rec in slow.iter().filter(|r| !printed.contains(&r.trace_id)) {
+                eprint!("slow query: {}", hft_serve::WireTrace::of(rec).render());
             }
+            printed = slow.iter().map(|r| r.trace_id).collect();
             if stopping {
                 // One final dump on the way out, then exit.
                 return;
