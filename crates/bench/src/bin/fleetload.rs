@@ -1,5 +1,6 @@
-//! `fleetload` — the shard-router fleet bench: serve a sharded corpus
-//! behind a [`hft_serve::ShardRouter`] while the corpus history ingests
+//! `fleetload` — the ingest and shard-router fleet bench: measure
+//! dump-replay ingest throughput, then serve a sharded corpus behind a
+//! [`hft_serve::ShardRouter`] while the corpus history ingests
 //! underneath it, byte-verifying every scatter-gathered answer against
 //! a direct single-corpus [`hft_serve::Service`] over the same
 //! generation. Writes `BENCH_fleet.json` at the workspace root.
@@ -9,7 +10,16 @@
 //! cargo run --release -p hft-bench --bin fleetload -- --shards 4 --seconds 1
 //! ```
 //!
-//! For each fleet size N the harness seeds an [`Applier`] with the
+//! The ingest step replays the corpus's full 2013–2020 event history,
+//! rendered as daily transaction dumps and decoded from text as a
+//! follower would, through the incremental [`Applier`], publishing each
+//! batch to a one-shard fleet through [`Applier::publish_sharded`], the
+//! publish path of `hftnetview serve --follow`. It reports events per
+//! second, and fails on a quarantined record, a conflict, an
+//! incremental corpus that [`Applier::verify`] rejects, or a replayed
+//! license set that differs from the published corpus.
+//!
+//! For each fleet size N the harness then seeds an [`Applier`] with the
 //! first half of the rendered dump history, partitions the corpus into
 //! an N-shard [`ShardedStore`], and serves it over a
 //! [`hft_serve::ShardRouter`] through [`load::serve_under_ingest`]. A publisher thread replays the
@@ -35,10 +45,13 @@
 
 use hft_bench::load::{self, Flags, IngestPlan, Json};
 use hft_bench::{obj, REPRO_SEED};
-use hft_ingest::{Applier, DumpBatch, ShardedStore};
+use hft_ingest::{decode_batch, encode_batch, Applier, DumpBatch, ShardedStore};
 use hft_serve::api::Request;
 use hft_time::Date;
 use hft_uls::shard::{shard_of_licensee, ShardStrategy};
+use hft_uls::{License, UlsDatabase};
+use std::sync::Arc;
+use std::time::Instant;
 
 const USAGE: &str = "usage: fleetload [--shards N,N,...] [--seconds S] [--concurrency N] \
                      [--publish-every N] [--strategy licensee|spatial] [--seed N] [--out PATH]";
@@ -120,6 +133,55 @@ fn workload(licensees: &[String]) -> Vec<Request> {
         min_filings: 2,
     });
     mix
+}
+
+/// Replay the whole history into an empty corpus, decoding each batch
+/// from its dump text, applying it and publishing it to a one-shard
+/// fleet; check the result against `published`, print the throughput
+/// and return the report's `ingest` section.
+fn ingest(published: &UlsDatabase, batches: &[DumpBatch]) -> Result<Json, String> {
+    let texts: Vec<String> = batches.iter().map(encode_batch).collect();
+    let empty = Arc::new(UlsDatabase::new());
+    let fleet = ShardedStore::seeded(&empty, 1, ShardStrategy::LicenseeHash, None);
+    let mut applier = Applier::new(UlsDatabase::new());
+    let started = Instant::now();
+    for text in &texts {
+        let (batch, report) = decode_batch(text).map_err(|e| format!("decode: {e}"))?;
+        if !report.is_clean() {
+            return Err(format!("{} quarantined records", report.count()));
+        }
+        if let Some(conflict) = applier.apply(&batch).first() {
+            return Err(format!("ingest conflict: {conflict}"));
+        }
+        applier.publish_sharded(&fleet);
+    }
+    let seconds = started.elapsed().as_secs_f64();
+    applier.verify()?;
+    // The replayed corpus is grant-date-ordered; compare license sets.
+    let by_id = |licenses: &[License]| {
+        let mut sorted = licenses.to_vec();
+        sorted.sort_by_key(|l| l.id);
+        sorted
+    };
+    if by_id(applier.db().licenses()) != by_id(published.licenses()) {
+        return Err("replayed corpus differs from the published corpus".into());
+    }
+    let stats = applier.stats();
+    let events_per_sec = stats.events() as f64 / seconds.max(1e-9);
+    println!(
+        "ingest:  {:>7} events  {events_per_sec:>9.0} events/s  ({} batches, {} conflicts, \
+         {seconds:.3} s)",
+        stats.events(),
+        stats.batches,
+        stats.conflicts,
+    );
+    Ok(obj! {
+        "batches": stats.batches,
+        "events": stats.events(),
+        "conflicts": stats.conflicts,
+        "seconds": seconds,
+        "events_per_sec": events_per_sec,
+    })
 }
 
 /// Serve one fleet size under concurrent ingest, print its summary and
@@ -232,6 +294,7 @@ fn run() -> Result<(), String> {
     let args = Args::parse()?;
     let eco = load::corpus(args.seed);
     let (published, batches) = load::history(&eco)?;
+    let ingested = ingest(&published, &batches)?;
     let mut licensees = eco.connected_2020.clone();
     // The connected-2020 mix alone can leave shards idle: with 8 shards
     // the paper's nine licensees hash onto only six residues, so two
@@ -265,6 +328,7 @@ fn run() -> Result<(), String> {
         "concurrency": args.concurrency,
         "publish_every": args.publish_every,
         "seed": args.seed,
+        "ingest": ingested,
         "runs": runs,
     };
     load::write_report("fleet", args.out.as_deref(), report)

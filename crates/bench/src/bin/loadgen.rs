@@ -8,8 +8,8 @@
 //! # self-hosted (binds its own server on a free port):
 //! cargo run --release -p hft-bench --bin loadgen
 //!
-//! # protocol matrix (json vs bin, one fresh server each):
-//! cargo run --release -p hft-bench --bin loadgen -- --matrix
+//! # protocol matrix (json vs bin, one fresh two-shard fleet each):
+//! cargo run --release -p hft-bench --bin loadgen -- --matrix --shards 2
 //!
 //! # against an external `hftnetview serve` (seeds must match):
 //! cargo run --release -p hft-bench --bin loadgen -- \
@@ -26,12 +26,21 @@
 //! computation, and concurrent duplicates of a cold request wait for
 //! that one computation.
 //!
-//! `--proto bin` negotiates the compact binary codec over the same
-//! frames; verification still byte-compares the *decoded* response
-//! re-encoded with the canonical JSON codec, so a wrong answer cannot
-//! hide behind a different wire format. `--matrix` self-hosts a fresh
-//! server per protocol and reports both cells plus the speedup of bin
-//! over the json baseline measured in the same run at the same settings.
+//! A self-hosted server is what `hftnetview serve` runs: a
+//! [`ShardRouter`] over a `--shards`-shard licensee-hash fleet (one
+//! shard by default), while the expected bytes come from one
+//! single-corpus [`Service`]. `--proto bin` negotiates the compact
+//! binary codec over the same frames; verification still byte-compares
+//! the *decoded* response re-encoded with the canonical JSON codec, so a
+//! wrong answer cannot hide behind a different wire format. `--matrix`
+//! self-hosts a fresh fleet per protocol and reports both cells plus the
+//! speedup of bin over the json baseline measured in the same run at the
+//! same settings.
+//!
+//! The mix repeats every weather and latency race, so after the warm
+//! pass the §5 weather Monte Carlo behind them is a memo hit. Each
+//! self-hosted cell reads the server's `race.mc_cache{outcome}` counters
+//! and fails unless some Monte Carlo ran and over 80% of lookups hit.
 //!
 //! `Overloaded` rejections are retried (and counted): backpressure is
 //! a protocol answer, not an error. A byte mismatch is a hard failure —
@@ -79,12 +88,12 @@ impl Args {
             seed: flags.get("--seed", REPRO_SEED)?,
             shutdown_server: flags.on("--shutdown-server"),
             out: flags.string("--out"),
-            shards: flags.get("--shards", 0)?,
+            shards: flags.get("--shards", 1)?,
             proto: flags.parse_or("--proto", Proto::Json, Proto::parse)?,
             matrix: flags.on("--matrix"),
         };
-        if args.concurrency == 0 || args.window == 0 {
-            return Err("--concurrency and --window must be positive".into());
+        if args.concurrency == 0 || args.window == 0 || args.shards == 0 {
+            return Err("--concurrency, --window and --shards must be positive".into());
         }
         if args.matrix && args.connect.is_some() {
             return Err(
@@ -164,16 +173,17 @@ fn workload(licensees: &[String]) -> Vec<Request> {
     for i in 0..24 {
         mix.push(weather[i % weather.len()].clone());
     }
-    // Hot race queries: the cross-substrate latency race rides the same
-    // weather Monte Carlo memo (at other samples than the weather
-    // queries, so its own entries) — repeats after the first are memo
-    // hits, so the tail attribution shows where the cold computation
-    // lands.
-    let races: Vec<Request> = licensees
+    // Hot race queries: the first three licensees race every pair, each
+    // race twice, plus one stretch sweep per licensee. The
+    // cross-substrate latency race rides the same weather Monte Carlo
+    // memo (at other samples than the weather queries, so its own
+    // entries) — repeats after the first are memo hits, so the tail
+    // attribution shows where the cold computation lands.
+    let racers = &licensees[..licensees.len().min(3)];
+    let races: Vec<Request> = racers
         .iter()
-        .take(2)
         .flat_map(|name| {
-            [("CME", "NY4"), ("CME", "NYSE")].map(|(from, to)| Request::Race {
+            pairs.map(|(from, to)| Request::Race {
                 licensee: name.clone(),
                 date: d2020,
                 from: from.into(),
@@ -184,10 +194,10 @@ fn workload(licensees: &[String]) -> Vec<Request> {
             })
         })
         .collect();
-    for i in 0..12 {
+    for i in 0..races.len() * 2 {
         mix.push(races[i % races.len()].clone());
     }
-    if let Some(name) = licensees.first() {
+    for name in racers {
         mix.push(Request::StretchSweep {
             licensee: name.clone(),
             date: d2020,
@@ -292,9 +302,9 @@ fn tail_alert(label: &str, snapshot: &hft_obs::HistogramSnapshot) {
 
 /// Where the wire time went during one self-hosted combo: the growth of
 /// the server's `serve.decode_ns`/`serve.encode_ns`/`serve.poll_wake_ns`
-/// histograms and buffer-pool counters between two registry snapshots
-/// (the registry is process-global and cumulative, so each combo is the
-/// after-minus-before difference).
+/// histograms, buffer-pool counters and `race.mc_cache` counters between
+/// two registry snapshots (the registry is process-global and
+/// cumulative, so each combo is the after-minus-before difference).
 struct WireSample(RegistryDelta);
 
 impl WireSample {
@@ -308,6 +318,15 @@ impl WireSample {
             d.counter("serve.bufpool_hits"),
             d.counter("serve.bufpool_misses"),
         )
+    }
+
+    /// Weather Monte Carlo memo lookups: hits and misses.
+    fn mc_cache(&self) -> (u64, u64) {
+        let outcome = |o| {
+            self.0
+                .counter(&hft_obs::registry::labeled("race.mc_cache", "outcome", o))
+        };
+        (outcome("hit"), outcome("miss"))
     }
 
     fn print(&self) {
@@ -324,11 +343,42 @@ impl WireSample {
             wake.count,
             hits as f64 / (hits + misses).max(1) as f64 * 100.0,
         );
+        let (hits, misses) = self.mc_cache();
+        println!(
+            "mc cache: {hits} hits / {misses} misses = {:.1}% hit rate",
+            self.mc_hit_rate() * 100.0
+        );
+    }
+
+    fn mc_hit_rate(&self) -> f64 {
+        let (hits, misses) = self.mc_cache();
+        hits as f64 / (hits + misses).max(1) as f64
+    }
+
+    /// The acceptance floor on a repeats-heavy mix: some weather Monte
+    /// Carlo ran, and over 80% of its memo lookups hit.
+    fn check_mc_cache(&self, proto: Proto) -> Result<(), String> {
+        let (hits, misses) = self.mc_cache();
+        if hits + misses == 0 {
+            return Err(format!(
+                "[{}] no weather Monte Carlo ran — the corpus has no microwave routes?",
+                proto.name()
+            ));
+        }
+        if self.mc_hit_rate() <= 0.80 {
+            return Err(format!(
+                "[{}] mc cache hit rate {:.1}% below the 80% floor on a repeats-heavy mix",
+                proto.name(),
+                self.mc_hit_rate() * 100.0
+            ));
+        }
+        Ok(())
     }
 
     fn json(&self) -> Json {
         let [decode, encode, wake] = self.histograms();
         let (hits, misses) = self.bufpool();
+        let (mc_hits, mc_misses) = self.mc_cache();
         obj! {
             "decode_count": decode.count,
             "decode_mean_ns": decode.mean(),
@@ -338,6 +388,9 @@ impl WireSample {
             "poll_wake_mean_ns": wake.mean(),
             "bufpool_hits": hits,
             "bufpool_misses": misses,
+            "mc_cache_hits": mc_hits,
+            "mc_cache_misses": mc_misses,
+            "mc_cache_hit_rate": self.mc_hit_rate(),
         }
     }
 }
@@ -347,8 +400,8 @@ struct ComboResult {
     proto: Proto,
     serial: Tally,
     concurrent: Tally,
-    /// Server-side wire attribution; only available when the server
-    /// shares this process (self-hosted runs).
+    /// Server-side wire attribution and Monte Carlo cache counts; only
+    /// available when the server shares this process (self-hosted runs).
     wire: Option<WireSample>,
     /// The slowest captured traces, pulled from the server's flight
     /// recorder after the concurrent phase — the waterfall behind any
@@ -475,16 +528,16 @@ fn run() -> Result<(), String> {
     let reference = Service::new(&db);
     let expected = mix.iter().map(|r| reference.handle(r).encode()).collect();
 
-    // Optional per-shard latency breakout: attribute each request to the
-    // shard a licensee-hash fleet would route it to (last bucket =
-    // broadcast). This is client-side bookkeeping — it works against any
-    // server and lets the p90-vs-p50 queueing gap be pinned on a shard.
-    let attr = match args.shards {
-        0 => Vec::new(),
-        n => {
-            let fleet = ShardedStore::seeded(&db, n, ShardStrategy::LicenseeHash, None);
-            load::attribution(&mix, &ShardRouter::over(&fleet))
-        }
+    // Per-shard latency breakout on a multi-shard fleet: attribute each
+    // request to the shard a licensee-hash fleet of that size routes it
+    // to (last bucket = broadcast). This is client-side bookkeeping — it
+    // holds for a --connect server of the same size too, and lets the
+    // p90-vs-p50 queueing gap be pinned on a shard.
+    let fleet = || ShardedStore::seeded(&db, args.shards, ShardStrategy::LicenseeHash, None);
+    let attr = if args.shards > 1 {
+        load::attribution(&mix, &ShardRouter::over(&fleet()))
+    } else {
+        Vec::new()
     };
     let replay = Replay {
         mix,
@@ -492,7 +545,7 @@ fn run() -> Result<(), String> {
         attr,
     };
 
-    // Self-host one protocol cell on a fresh server and fresh port; the
+    // Self-host one protocol cell on a fresh fleet and fresh port; the
     // worker pool is sized identically for every cell so cells are
     // comparable.
     let self_host = |proto: Proto| -> Result<ComboResult, String> {
@@ -501,9 +554,14 @@ fn run() -> Result<(), String> {
             queue_depth: (args.concurrency * args.window).max(64),
             ..ServeConfig::default()
         };
+        let fleet = fleet();
         let before = hft_obs::global().snapshot();
-        let served = load::self_host(config, &Service::new(&db), &[], |addr| {
-            eprintln!("[{}] self-hosting on {addr}", proto.name());
+        let served = load::self_host(config, &ShardRouter::over(&fleet), &[], |addr| {
+            eprintln!(
+                "[{}] self-hosting a {}-shard fleet on {addr}",
+                proto.name(),
+                args.shards
+            );
             replay.phases(&addr, proto, &args)
         })?;
         let (serial, concurrent) = served.body;
@@ -568,6 +626,7 @@ fn run() -> Result<(), String> {
     let wrong_total: u64 = combos.iter().map(ComboResult::wrong).sum();
     let mut report = obj! {
         "workload": obj! {"distinct_requests": replay.mix.len(), "seed": args.seed},
+        "shards": args.shards,
         "proto": primary.proto.name(),
         "serial": primary.serial_json(),
         "concurrent": primary.concurrent_json(&args, wrong_total),
@@ -581,7 +640,7 @@ fn run() -> Result<(), String> {
     // Per-shard breakout of the primary cell's concurrent phase: where
     // does the tail live? The bucket with the widest p90-p50 gap is the
     // queueing culprit — a shard, or the broadcast fan-out.
-    if args.shards > 0 {
+    if args.shards > 1 {
         let mut worst: Option<(String, f64)> = None;
         let entries: Vec<Json> = primary
             .concurrent
@@ -630,6 +689,11 @@ fn run() -> Result<(), String> {
             })
             .unwrap_or_default();
         return Err(format!("byte mismatch against direct session:\n{detail}"));
+    }
+    for combo in &combos {
+        if let Some(wire) = &combo.wire {
+            wire.check_mc_cache(combo.proto)?;
+        }
     }
     Ok(())
 }

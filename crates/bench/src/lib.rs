@@ -6,8 +6,9 @@
 //!   byte-verifying tallies, per-generation references, the
 //!   serve-under-ingest loop, self-hosting, and the stamped
 //!   `BENCH_*.json` writer every bench report goes through;
-//! * `src/bin/{loadgen,fleetload,ingestload,raceload,httpload}.rs` —
-//!   the load binaries, one per serving surface;
+//! * `src/bin/{loadgen,fleetload,httpload}.rs` — the load binaries,
+//!   one per serving surface: the wire, a fleet under live ingest, and
+//!   the HTTP explorer;
 //! * `benches/paper.rs` — one Criterion benchmark per table and figure
 //!   of the paper (E1–E10 in `DESIGN.md`), timing the full analysis
 //!   pipeline behind each artifact on the pre-generated corpus;

@@ -1,6 +1,7 @@
-//! The load harness the five load binaries share (`loadgen`,
-//! `fleetload`, `ingestload`, `raceload`, `httpload`), plus the report
-//! writer the Criterion benches use too.
+//! The load harness the three load binaries share, one per serving
+//! surface: `loadgen` (the wire), `fleetload` (a fleet under live
+//! ingest) and `httpload` (the HTTP explorer). The report writer serves
+//! the Criterion benches too.
 //!
 //! * [`Flags`] parses `--name value` pairs and switches against the
 //!   binary's usage line, which doubles as the flag table.

@@ -2,12 +2,15 @@
 //! **in place**, maintaining every secondary index as it goes.
 //!
 //! The applier owns its working corpus as an `Arc<UlsDatabase>` and
-//! mutates through [`Arc::make_mut`]: as long as nobody else holds the
-//! published generation, batches mutate in place; the moment a reader
-//! (the [`crate::store::SnapshotStore`], an in-flight query session)
-//! still holds it, the first mutation of the next batch pays one corpus
-//! copy and proceeds — copy-on-write, with the copy priced only when
-//! isolation actually demands it.
+//! mutates through [`Arc::make_mut`]: as long as nobody else holds it,
+//! batches mutate in place; the moment a reader still holds it (a fleet
+//! seeded from [`Applier::db_arc`] whose first publish has not landed
+//! yet, an in-flight query session), the first mutation of the next
+//! batch pays one corpus copy and proceeds — copy-on-write, with the
+//! copy priced only when isolation actually demands it.
+//! [`Applier::publish_sharded`] never hands the working corpus out: each
+//! fleet shard gets its own piece (see [`crate::sharded`]), so the
+//! applier keeps mutating in place across publishes.
 //!
 //! Incremental index maintenance is exactly the part that can silently
 //! drift, so the applier also carries its own auditor:
@@ -19,7 +22,7 @@
 //! path exists to avoid.
 
 use crate::delta::{DumpBatch, DumpEvent};
-use crate::store::SnapshotStore;
+use crate::sharded::ShardedStore;
 use hft_time::Date;
 use hft_uls::{License, UlsDatabase, UlsPortal};
 use std::collections::HashSet;
@@ -237,19 +240,11 @@ impl Applier {
         conflicts
     }
 
-    /// Publish the working corpus to `store` as the next generation.
-    ///
-    /// The store takes a shared handle: the applier's *next* mutation
-    /// will copy-on-write if the published generation is still read.
-    pub fn publish(&self, store: &SnapshotStore) -> u64 {
-        store.publish(Arc::clone(&self.db), self.last_date)
-    }
-
     /// Publish the working corpus across a fleet's shards: every shard
     /// store advances one generation in lockstep, and only the shards
     /// whose piece of the corpus changed get a new corpus. See
-    /// [`ShardedStore::publish_full`](crate::sharded::ShardedStore::publish_full).
-    pub fn publish_sharded(&self, fleet: &crate::sharded::ShardedStore) -> u64 {
+    /// [`ShardedStore::publish_full`].
+    pub fn publish_sharded(&self, fleet: &ShardedStore) -> u64 {
         fleet.publish_full(&self.db, self.last_date)
     }
 
@@ -281,6 +276,7 @@ mod tests {
     use super::*;
     use crate::delta::DumpBatch;
     use hft_geodesy::LatLon;
+    use hft_uls::shard::ShardStrategy;
     use hft_uls::{
         CallSign, FrequencyAssignment, LicenseId, MicrowavePath, RadioService, StationClass,
         TowerSite, UlsPortal,
@@ -399,9 +395,14 @@ mod tests {
             d(2015, 1, 1),
             vec![DumpEvent::New(lic(1, "WQ1", "Alpha", 41.0))],
         ));
-        let store = SnapshotStore::new(UlsDatabase::new());
-        ap.publish(&store);
-        let held = store.current();
+        let fleet = ShardedStore::seeded(
+            &Arc::new(UlsDatabase::new()),
+            1,
+            ShardStrategy::LicenseeHash,
+            None,
+        );
+        ap.publish_sharded(&fleet);
+        let held = fleet.shard(0).current();
         assert_eq!(held.db().len(), 1);
         assert_eq!(held.as_of(), Some(d(2015, 1, 1)));
 
@@ -412,8 +413,8 @@ mod tests {
         ));
         assert_eq!(ap.db().len(), 2);
         assert_eq!(held.db().len(), 1, "published snapshot is immutable");
-        assert_eq!(ap.publish(&store), 2);
-        assert_eq!(store.current().db().len(), 2);
+        assert_eq!(ap.publish_sharded(&fleet), 2);
+        assert_eq!(fleet.shard(0).current().db().len(), 2);
         ap.verify().unwrap();
     }
 

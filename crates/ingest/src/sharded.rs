@@ -80,7 +80,7 @@ impl ShardedStore {
             shards: corpora
                 .into_iter()
                 .enumerate()
-                .map(|(k, sdb)| Arc::new(SnapshotStore::seeded_shard(sdb, as_of, k as u32)))
+                .map(|(k, sdb)| Arc::new(SnapshotStore::seeded(sdb, as_of, k as u32)))
                 .collect(),
             strategy,
             retired: Mutex::new(vec![None; shards]),
@@ -307,7 +307,7 @@ mod tests {
             assert_eq!(holders, 1);
         }
         for (k, store) in fleet.shards().iter().enumerate() {
-            assert_eq!(store.shard(), Some(k as u32));
+            assert_eq!(store.shard(), k as u32);
         }
     }
 

@@ -1,23 +1,21 @@
-//! Copy-on-write corpus snapshot generations.
+//! Copy-on-write corpus snapshot generations, one store per fleet shard.
 //!
 //! The live query service must never block readers while the corpus
 //! changes underneath them — the lock-free-reader discipline of the HFT
-//! pattern catalog. The [`SnapshotStore`] holds the *current*
-//! [`CorpusSnapshot`] behind an `Arc` that is **swapped atomically** at
-//! publish time: acquiring the current snapshot is an `Arc` clone under
-//! a mutex held only for that pointer copy (never during corpus builds
-//! or queries), so
-//!
-//! * every in-flight query keeps the `Arc` it started with and finishes
-//!   against a fully consistent corpus generation, and
-//! * the ingest applier's next `Arc::make_mut` sees outstanding readers
-//!   and copies instead of mutating under them — copy-on-write with the
-//!   copy paid only when someone is actually still reading.
+//! pattern catalog. A [`SnapshotStore`] holds one fleet shard's
+//! *current* [`CorpusSnapshot`] behind an `Arc` that is **swapped
+//! atomically** at publish time: acquiring the current snapshot is an
+//! `Arc` clone under a mutex held only for that pointer copy (never
+//! during corpus builds or queries), so every in-flight query keeps the
+//! `Arc` it started with and finishes against a fully consistent corpus
+//! generation. A [`ShardedStore`](crate::sharded::ShardedStore) seeds
+//! and publishes one store per shard (a one-shard fleet is one store),
+//! and each store's registry series carry its `shard` label.
 //!
 //! Generations are strictly monotonic. [`SnapshotStore::generation`] is
 //! a plain atomic load, cheap enough to read before and after every
-//! query — which is exactly how the concurrent-ingest bench brackets a
-//! response to the generation that served it.
+//! query — which is exactly how `fleetload` brackets a response to the
+//! generation that served it.
 
 use hft_time::Date;
 use hft_uls::UlsDatabase;
@@ -57,8 +55,8 @@ impl CorpusSnapshot {
     }
 }
 
-/// The generation store: publishes corpus snapshots, hands out the
-/// current one, and exposes the generation counter.
+/// One fleet shard's generation store: publishes corpus snapshots,
+/// hands out the current one, and exposes the generation counter.
 #[derive(Debug)]
 pub struct SnapshotStore {
     current: Mutex<Arc<CorpusSnapshot>>,
@@ -68,41 +66,22 @@ pub struct SnapshotStore {
     /// When the current generation was published — feeds the snapshot
     /// staleness gauge exposed by the serve layer.
     published_at: Mutex<Instant>,
-    /// Which fleet shard this store publishes for, if any. Only affects
-    /// telemetry: a sharded store reports into `shard`-labeled registry
-    /// series so per-shard publish cadence is observable.
-    shard: Option<u32>,
-    /// Registry handles, resolved once at construction (labeled by
-    /// shard when one is set).
+    /// The fleet shard this store publishes for. Only affects
+    /// telemetry: the store reports into `shard`-labeled registry series
+    /// so per-shard publish cadence is observable.
+    shard: u32,
+    /// Registry handles, resolved once at construction.
     generation_gauge: Arc<hft_obs::Gauge>,
     swap_ns: Arc<hft_obs::Histogram>,
 }
 
 impl SnapshotStore {
-    /// A store seeded with generation 0.
-    pub fn new(db: UlsDatabase) -> SnapshotStore {
-        SnapshotStore::seeded(Arc::new(db), None)
-    }
-
-    /// A store seeded with generation 0 from a shared corpus, stamped
-    /// `as_of` when the seed already incorporates dumps.
-    pub fn seeded(db: Arc<UlsDatabase>, as_of: Option<Date>) -> SnapshotStore {
-        SnapshotStore::build(db, as_of, None)
-    }
-
-    /// A store publishing one fleet shard's corpus: identical semantics
-    /// to [`SnapshotStore::seeded`], but its registry series carry a
-    /// `shard` label.
-    pub fn seeded_shard(db: Arc<UlsDatabase>, as_of: Option<Date>, shard: u32) -> SnapshotStore {
-        SnapshotStore::build(db, as_of, Some(shard))
-    }
-
-    fn build(db: Arc<UlsDatabase>, as_of: Option<Date>, shard: Option<u32>) -> SnapshotStore {
+    /// Fleet shard `shard`'s store, seeded with generation 0 from a
+    /// shared corpus, stamped `as_of` when the seed already incorporates
+    /// dumps.
+    pub fn seeded(db: Arc<UlsDatabase>, as_of: Option<Date>, shard: u32) -> SnapshotStore {
         let registry = hft_obs::global();
-        let name = |base: &str| match shard {
-            None => base.to_string(),
-            Some(k) => hft_obs::registry::labeled(base, "shard", &k.to_string()),
-        };
+        let name = |base: &str| hft_obs::registry::labeled(base, "shard", &shard.to_string());
         SnapshotStore {
             current: Mutex::new(Arc::new(CorpusSnapshot {
                 generation: 0,
@@ -117,8 +96,8 @@ impl SnapshotStore {
         }
     }
 
-    /// The fleet shard this store publishes for (`None` outside a fleet).
-    pub fn shard(&self) -> Option<u32> {
+    /// The fleet shard this store publishes for.
+    pub fn shard(&self) -> u32 {
         self.shard
     }
 
@@ -168,7 +147,7 @@ mod tests {
 
     #[test]
     fn generations_are_monotonic_and_readers_keep_theirs() {
-        let store = SnapshotStore::new(UlsDatabase::new());
+        let store = SnapshotStore::seeded(Arc::new(UlsDatabase::new()), None, 0);
         assert_eq!(store.generation(), 0);
         let held = store.current();
         assert_eq!(held.generation(), 0);
@@ -190,7 +169,7 @@ mod tests {
     fn copy_on_write_only_copies_under_readers() {
         // Applier-style usage: mutate a working Arc with make_mut.
         let mut working = Arc::new(UlsDatabase::new());
-        let store = SnapshotStore::seeded(Arc::clone(&working), None);
+        let store = SnapshotStore::seeded(Arc::clone(&working), None, 0);
         // The store holds a reference → make_mut must copy.
         let p_before = Arc::as_ptr(&working);
         Arc::make_mut(&mut working);

@@ -42,10 +42,8 @@ use crate::api::{Dispatch, Request, Response};
 use crate::binwire::{self, Proto};
 use crate::poll::{Interest, Poller, SourceFd, Waker};
 use crate::pool::{Queue, ResponseSlot, SubmitError};
-use crate::server::ServeConfig;
 use crate::service::Handler;
-use crate::wire::FrameEvent;
-use crate::wire::FrameReader;
+use crate::wire::{self, FrameEvent, FrameReader};
 use hft_obs::{Counter, Gauge, Histogram};
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
@@ -164,11 +162,6 @@ impl DriverCx<'_> {
         self.wq.push_back(buf);
     }
 
-    /// Return an unused buffer to the pool.
-    pub fn recycle(&mut self, buf: Vec<u8>) {
-        self.pool.put(buf);
-    }
-
     /// Stop reading this connection; queued bytes still flush, then the
     /// socket closes.
     pub fn close_after_flush(&mut self) {
@@ -260,7 +253,6 @@ enum Outgoing {
 /// negotiation, magic-byte codec sniffing, queue-bypassing
 /// `stats`/`metrics`, bounded admission for the rest.
 struct WireDriver {
-    max_frame: usize,
     frames: FrameReader,
     proto: Proto,
     outq: VecDeque<Outgoing>,
@@ -269,9 +261,8 @@ struct WireDriver {
 }
 
 impl WireDriver {
-    fn new(max_frame: usize, decode_ns: Arc<Histogram>, encode_ns: Arc<Histogram>) -> WireDriver {
+    fn new(decode_ns: Arc<Histogram>, encode_ns: Arc<Histogram>) -> WireDriver {
         WireDriver {
-            max_frame,
             frames: FrameReader::new(),
             proto: Proto::default(),
             outq: VecDeque::new(),
@@ -352,7 +343,7 @@ impl WireDriver {
 impl ConnDriver for WireDriver {
     fn on_bytes(&mut self, bytes: &[u8], cx: &mut DriverCx<'_>) {
         self.frames.feed(bytes);
-        while let Some(event) = self.frames.next(self.max_frame) {
+        while let Some(event) = self.frames.next(wire::DEFAULT_MAX_FRAME) {
             match event {
                 FrameEvent::Frame(body) => {
                     self.process_frame(&body, cx);
@@ -368,7 +359,7 @@ impl ConnDriver for WireDriver {
                         Box::new(Response::Error {
                             message: format!(
                                 "oversized frame: {len} bytes (max {})",
-                                self.max_frame
+                                wire::DEFAULT_MAX_FRAME
                             ),
                         }),
                         self.proto,
@@ -464,7 +455,6 @@ pub(crate) fn drive<'f, H: Handler>(
     listener: &TcpListener,
     service: &H,
     queue: &Queue,
-    config: &ServeConfig,
     extras: &'f [ExtraListener<'f>],
 ) -> io::Result<()> {
     let poller = Poller::new()?;
@@ -486,7 +476,6 @@ pub(crate) fn drive<'f, H: Handler>(
     let mut ev = EvLoop {
         service,
         queue,
-        max_frame: config.max_frame,
         extras,
         token_base: TOKEN_LISTENERS + listeners.len(),
         poller,
@@ -539,7 +528,6 @@ pub(crate) fn drive<'f, H: Handler>(
 struct EvLoop<'a, 'f, H: Handler> {
     service: &'a H,
     queue: &'a Queue,
-    max_frame: usize,
     extras: &'f [ExtraListener<'f>],
     token_base: usize,
     poller: Poller,
@@ -598,7 +586,6 @@ impl<'f, H: Handler> EvLoop<'_, 'f, H> {
         }
         let driver: Box<dyn ConnDriver + 'f> = if li == 0 {
             Box::new(WireDriver::new(
-                self.max_frame,
                 Arc::clone(&self.decode_ns),
                 Arc::clone(&self.encode_ns),
             ))

@@ -23,9 +23,9 @@
 //!    stale corpus. [`Request::dispatch`] decides each request's route.
 //!
 //! Observability lives in [`stats`]: every admission, rejection, queue
-//! wait, service time, and flight outcome (led, or coalesced onto
-//! another request's memo fill) is counted and exposed through the
-//! `stats` request and the shutdown dump.
+//! wait, service time, and flight outcome (a flight is one shard call:
+//! led, or coalesced onto another call's memo fill) is counted and
+//! exposed through the `stats` request and the shutdown dump.
 
 // Unsafe is denied crate-wide; the one exception is the raw epoll
 // syscall shim in `poll::sys`, which carries a module-scoped allow.

@@ -719,6 +719,28 @@ mod tests {
     }
 
     #[test]
+    fn a_flight_is_one_shard_call() {
+        let db = Arc::new(corpus());
+        let store = ShardedStore::seeded(&db, 4, ShardStrategy::LicenseeHash, None);
+        let router = ShardRouter::over(&store);
+        let flights = || {
+            let serve = router.serve_snapshot();
+            serve.flights_led + serve.flights_coalesced
+        };
+        router.handle(&Request::Geographic {
+            lat_deg: 41.5,
+            lon_deg: -87.5,
+            radius_km: 200.0,
+        });
+        assert_eq!(flights(), 4, "a scatter calls every shard once");
+        router.handle(&Request::Network {
+            licensee: "Alpha Networks".into(),
+            date: Date::new(2016, 1, 1).unwrap(),
+        });
+        assert_eq!(flights(), 5, "a point request calls its owner only");
+    }
+
+    #[test]
     fn traced_scatter_runs_its_legs_in_shard_order_under_one_root() {
         let db = Arc::new(corpus());
         let store = ShardedStore::seeded(&db, 4, ShardStrategy::LicenseeHash, None);

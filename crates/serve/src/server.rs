@@ -32,8 +32,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Admission queue depth; submissions beyond this answer `Overloaded`.
     pub queue_depth: usize,
-    /// Maximum accepted frame body size in bytes.
-    pub max_frame: usize,
 }
 
 impl Default for ServeConfig {
@@ -42,7 +40,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:4710".to_string(),
             workers: 4,
             queue_depth: 64,
-            max_frame: wire::DEFAULT_MAX_FRAME,
         }
     }
 }
@@ -88,7 +85,7 @@ impl Server {
             for _ in 0..self.config.workers.max(1) {
                 scope.spawn(|| queue.worker(service));
             }
-            let r = crate::evloop::drive(&self.listener, service, &queue, &self.config, extras);
+            let r = crate::evloop::drive(&self.listener, service, &queue, extras);
             // Closed by the loop on protocol shutdown; close again here
             // so workers also exit on an accept/poll error path.
             queue.close();
@@ -104,7 +101,6 @@ pub struct Client {
     writer: BufWriter<TcpStream>,
     reader: TcpStream,
     frames: FrameReader,
-    max_frame: usize,
     proto: Proto,
 }
 
@@ -125,7 +121,6 @@ impl Client {
             writer: BufWriter::new(stream),
             reader,
             frames: FrameReader::new(),
-            max_frame: wire::DEFAULT_MAX_FRAME,
             proto: Proto::Json,
         };
         if proto != Proto::Json {
@@ -169,7 +164,10 @@ impl Client {
 
     fn recv_frame(&mut self) -> io::Result<Vec<u8>> {
         loop {
-            match self.frames.read_from(&mut self.reader, self.max_frame)? {
+            match self
+                .frames
+                .read_from(&mut self.reader, wire::DEFAULT_MAX_FRAME)?
+            {
                 FrameEvent::Frame(body) => return Ok(body),
                 FrameEvent::Eof => {
                     return Err(io::Error::new(

@@ -135,9 +135,10 @@ impl<'a> Service<'a> {
     /// Answer one request. Safe to call from many threads at once; this
     /// is the entry point pool workers use.
     ///
-    /// Every point and scatter request counts as one flight: coalesced
-    /// when it waited on a memo cell another request was filling, led
-    /// otherwise.
+    /// Every call with a point or scatter request counts as one flight:
+    /// coalesced when it waited on a memo cell another call was filling,
+    /// led otherwise. A fleet's router makes one call per shard leg, so
+    /// a flight is one shard call, not one request.
     pub fn handle(&self, req: &Request) -> Response {
         if let Dispatch::Telemetry | Dispatch::Shutdown = req.dispatch() {
             return self.compute(req);

@@ -126,15 +126,15 @@ impl ServeStats {
         }
     }
 
-    /// A request was answered without waiting on another request's
-    /// memo fill.
+    /// A shard call was answered without waiting on another call's memo
+    /// fill.
     pub fn on_flight_led(&self) {
         self.flights_led.fetch_add(1, Ordering::Relaxed);
         self.reg.flights_led.incr();
     }
 
-    /// A request waited on a memo cell another request was filling,
-    /// and shared its result.
+    /// A shard call waited on a memo cell another call was filling, and
+    /// shared its result.
     pub fn on_flight_coalesced(&self) {
         self.flights_coalesced.fetch_add(1, Ordering::Relaxed);
         self.reg.flights_coalesced.incr();
@@ -194,10 +194,11 @@ pub struct ServeSnapshot {
     pub completed: u64,
     /// Responses that were protocol errors.
     pub errors: u64,
-    /// Non-telemetry requests that waited on no other request's memo
-    /// fill (leaders).
+    /// Shard calls that waited on no other call's memo fill (leaders).
+    /// A flight is one shard call: a point request makes one, a scatter
+    /// one per shard, and telemetry none.
     pub flights_led: u64,
-    /// Requests that waited on a memo cell another request was filling
+    /// Shard calls that waited on a memo cell another call was filling
     /// instead of recomputing.
     pub flights_coalesced: u64,
     /// Total nanoseconds requests spent queued.

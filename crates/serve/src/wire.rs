@@ -56,21 +56,22 @@ impl FrameReader {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Pop the next buffered frame after [`FrameReader::feed`].
+    /// Pop the next buffered frame after [`FrameReader::feed`]; a
+    /// declared body longer than `limit` bytes is reported oversized.
     ///
     /// Returns only [`FrameEvent::Frame`] or [`FrameEvent::Oversized`];
     /// stream conditions (EOF, idle) are the caller's to observe.
-    pub fn next(&mut self, max_frame: usize) -> Option<FrameEvent> {
-        self.pop(max_frame)
+    pub fn next(&mut self, limit: usize) -> Option<FrameEvent> {
+        self.pop(limit)
     }
 
     /// Try to pop one buffered frame without touching the stream.
-    fn pop(&mut self, max_frame: usize) -> Option<FrameEvent> {
+    fn pop(&mut self, limit: usize) -> Option<FrameEvent> {
         if self.buf.len() < 4 {
             return None;
         }
         let len = u32::from_be_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]);
-        if len as usize > max_frame {
+        if len as usize > limit {
             return Some(FrameEvent::Oversized(len));
         }
         let total = 4 + len as usize;
@@ -88,10 +89,10 @@ impl FrameReader {
     /// [`FrameEvent::Idle`]; other IO errors propagate. EOF in the
     /// middle of a frame is reported as an [`io::ErrorKind::UnexpectedEof`]
     /// error, EOF at a boundary as [`FrameEvent::Eof`].
-    pub fn read_from(&mut self, r: &mut impl Read, max_frame: usize) -> io::Result<FrameEvent> {
+    pub fn read_from(&mut self, r: &mut impl Read, limit: usize) -> io::Result<FrameEvent> {
         let mut chunk = [0u8; 16 * 1024];
         loop {
-            if let Some(event) = self.pop(max_frame) {
+            if let Some(event) = self.pop(limit) {
                 return Ok(event);
             }
             match r.read(&mut chunk) {
@@ -123,9 +124,9 @@ impl FrameReader {
 
 /// Blocking convenience for clients: read exactly one frame, treating
 /// timeouts as fatal.
-pub fn read_frame(r: &mut impl Read, max_frame: usize) -> io::Result<Option<Vec<u8>>> {
+pub fn read_frame(r: &mut impl Read, limit: usize) -> io::Result<Option<Vec<u8>>> {
     let mut reader = FrameReader::new();
-    match reader.read_from(r, max_frame)? {
+    match reader.read_from(r, limit)? {
         FrameEvent::Frame(body) => Ok(Some(body)),
         FrameEvent::Eof => Ok(None),
         FrameEvent::Oversized(len) => Err(io::Error::new(

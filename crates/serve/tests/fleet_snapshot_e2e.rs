@@ -56,7 +56,6 @@ fn shutdown_snapshot_matches_the_last_stats_answer() {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         queue_depth: 16,
-        ..ServeConfig::default()
     })
     .expect("bind");
     let addr = server.local_addr().expect("local addr");

@@ -159,7 +159,6 @@ fn served_bytes_equal_direct_session_bytes() {
         addr: "127.0.0.1:0".into(),
         workers: 3,
         queue_depth: 32,
-        ..ServeConfig::default()
     })
     .unwrap();
     let addr = server.local_addr().unwrap();
@@ -215,7 +214,6 @@ fn metrics_request_exposes_registry_over_the_wire() {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         queue_depth: 16,
-        ..ServeConfig::default()
     })
     .unwrap();
     let addr = server.local_addr().unwrap();
@@ -300,7 +298,6 @@ fn malformed_frame_answers_error_and_connection_survives() {
         addr: "127.0.0.1:0".into(),
         workers: 1,
         queue_depth: 8,
-        ..ServeConfig::default()
     })
     .unwrap();
     let addr = server.local_addr().unwrap();

@@ -87,7 +87,6 @@ fn bind() -> Server {
         addr: "127.0.0.1:0".into(),
         workers: 3,
         queue_depth: 32,
-        ..ServeConfig::default()
     })
     .unwrap()
 }

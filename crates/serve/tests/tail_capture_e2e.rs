@@ -30,7 +30,6 @@ fn slow_request_is_tail_captured_once() {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         queue_depth: 16,
-        ..ServeConfig::default()
     })
     .expect("bind");
     let addr = server.local_addr().expect("local addr");

@@ -41,7 +41,6 @@ fn scatter_request_yields_cross_shard_waterfall() {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         queue_depth: 16,
-        ..ServeConfig::default()
     })
     .expect("bind");
     let addr = server.local_addr().expect("local addr");

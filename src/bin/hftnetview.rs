@@ -222,7 +222,6 @@ fn run(args: &Args) -> Result<(), String> {
             addr: format!("127.0.0.1:{}", args.port),
             workers: args.workers,
             queue_depth: args.queue_depth,
-            ..hft_serve::ServeConfig::default()
         })
         .map_err(io_err)?;
         let addr = server.local_addr().map_err(io_err)?;
