@@ -37,8 +37,7 @@
 //! answer counts as `unpinned`.
 //!
 //! Latencies are attributed client-side: a licensee-bearing request
-//! lands in its owning shard's bucket (the owner when serving starts;
-//! under the spatial strategy a licensee can move shards as it files),
+//! lands in its owning shard's bucket (the hash of its name),
 //! scatter-gather requests land in a final `broadcast` bucket, and the
 //! report breaks out p50/p90/p99 per bucket next to the merged
 //! percentiles.
@@ -54,14 +53,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 const USAGE: &str = "usage: fleetload [--shards N,N,...] [--seconds S] [--concurrency N] \
-                     [--publish-every N] [--strategy licensee|spatial] [--seed N] [--out PATH]";
+                     [--publish-every N] [--seed N] [--out PATH]";
 
 struct Args {
     shards: Vec<usize>,
     seconds: f64,
     concurrency: usize,
     publish_every: usize,
-    strategy: ShardStrategy,
     seed: u64,
     out: Option<String>,
 }
@@ -76,11 +74,6 @@ impl Args {
             seconds: flags.get("--seconds", 2.0)?,
             concurrency: flags.get("--concurrency", 8)?,
             publish_every: flags.get("--publish-every", 4)?,
-            strategy: flags.parse_or(
-                "--strategy",
-                ShardStrategy::LicenseeHash,
-                ShardStrategy::parse,
-            )?,
             seed: flags.get("--seed", REPRO_SEED)?,
             out: flags.string("--out"),
         };
@@ -199,12 +192,12 @@ fn run_fleet(
         concurrency: args.concurrency,
         publish_every: args.publish_every,
     };
-    eprint!("fleet n={shards} ({}): ", args.strategy.name());
+    eprint!("fleet n={shards}: ");
     let open = |applier: &Applier| {
         ShardedStore::seeded(
             &applier.db_arc(),
             shards,
-            args.strategy,
+            ShardStrategy::LicenseeHash,
             applier.last_date(),
         )
     };
@@ -324,7 +317,6 @@ fn run() -> Result<(), String> {
         .map(|&n| run_fleet(&args, n, &batches, &mix))
         .collect::<Result<Vec<_>, _>>()?;
     let report = obj! {
-        "strategy": args.strategy.name(),
         "concurrency": args.concurrency,
         "publish_every": args.publish_every,
         "seed": args.seed,

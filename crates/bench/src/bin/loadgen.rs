@@ -56,6 +56,7 @@ use hft_serve::api::{Request, Response};
 use hft_serve::{Proto, ServeConfig, Service, ShardRouter, WireTrace};
 use hft_time::Date;
 use hft_uls::shard::ShardStrategy;
+use std::collections::HashSet;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -624,8 +625,11 @@ fn run() -> Result<(), String> {
     // consumers of BENCH_serve.json keep working; "runs" carries every
     // measured protocol cell.
     let wrong_total: u64 = combos.iter().map(ComboResult::wrong).sum();
+    // The mix repeats its searches, weather queries and races. `Request`
+    // holds floats, so requests are told apart by their encoded bytes.
+    let distinct: HashSet<Vec<u8>> = replay.mix.iter().map(Request::encode).collect();
     let mut report = obj! {
-        "workload": obj! {"distinct_requests": replay.mix.len(), "seed": args.seed},
+        "workload": obj! {"distinct_requests": distinct.len(), "seed": args.seed},
         "shards": args.shards,
         "proto": primary.proto.name(),
         "serial": primary.serial_json(),

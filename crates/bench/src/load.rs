@@ -231,11 +231,11 @@ pub fn connect(addr: &SocketAddr, proto: Proto) -> Result<Client, String> {
 /// Which latency bucket each mix entry lands in on `router`'s fleet, by
 /// its dispatch: a point request lands in its owning shard's bucket;
 /// every other request reaches every shard and lands in the last
-/// bucket, `broadcast`.
+/// bucket, `broadcast`. Reads no engine, so it never swaps one.
 pub fn attribution(mix: &[Request], router: &ShardRouter) -> Vec<usize> {
     mix.iter()
         .map(|req| match req.dispatch() {
-            Dispatch::Point(licensee) => router.owner(licensee).0,
+            Dispatch::Point(licensee) => router.owner(licensee),
             _ => router.shards().len(),
         })
         .collect()
@@ -486,12 +486,16 @@ pub struct Served<T> {
 /// against the wire address, then pull the three slowest traces, send
 /// `shutdown` and wait for the server to drain. `config.addr` is
 /// ignored. The server is shut down even when `body` fails.
+///
+/// The flight recorder is process-wide, so it is cleared first: the
+/// traces pulled are this server's, never an earlier one's.
 pub fn self_host<H: Handler, T>(
     config: ServeConfig,
     handler: &H,
     extras: &[ExtraListener<'_>],
     body: impl FnOnce(SocketAddr) -> Result<T, String>,
 ) -> Result<Served<T>, String> {
+    hft_obs::clear_traces();
     let server = Server::bind(ServeConfig {
         addr: "127.0.0.1:0".into(),
         ..config

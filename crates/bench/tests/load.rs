@@ -1,23 +1,24 @@
 //! The shared load harness under `cargo test`: flag parsing, tallies,
 //! the stamped report writer, per-generation references, attribution
-//! pinned to the shards the router reaches, and serve-under-ingest on a
-//! one-shard fleet and on a larger one — plus a negative control that
-//! shows the bracketed verifier can fail.
+//! pinned to the shards the router reaches, a self-hosted server that
+//! reports only its own traces, and serve-under-ingest on a one-shard
+//! fleet and on a larger one — plus a negative control that shows the
+//! bracketed verifier can fail.
 
 use hft_bench::load::{self, Flags, IngestPlan, Json, References, Tally};
 use hft_bench::obj;
 use hft_geodesy::LatLon;
 use hft_ingest::{render_history, Applier, ShardedStore};
 use hft_obs::HistogramShard;
-use hft_serve::api::Request;
-use hft_serve::{Proto, ShardRouter};
+use hft_serve::api::{Request, Response};
+use hft_serve::{Proto, ServeConfig, ShardRouter};
 use hft_time::Date;
-use hft_uls::shard::ShardStrategy;
+use hft_uls::shard::{shard_of_licensee, ShardStrategy};
 use hft_uls::{
     CallSign, FrequencyAssignment, License, LicenseId, MicrowavePath, RadioService, StationClass,
     TowerSite, UlsDatabase,
 };
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 const USAGE: &str = "usage: harness [--seconds S] [--proto json|bin] [--matrix]";
@@ -267,41 +268,71 @@ fn references_build_one_engine_per_registered_generation() {
 #[test]
 fn attribution_names_exactly_the_shards_the_router_reaches() {
     let db = Arc::new(UlsDatabase::from_licenses(licenses()));
-    for strategy in [ShardStrategy::LicenseeHash, ShardStrategy::SpatialCell] {
-        for shards in 1..=5 {
-            let fleet = ShardedStore::seeded(&db, shards, strategy, None);
-            let router = ShardRouter::over(&fleet);
-            let owners = hft_uls::shard::assign(&db, shards, strategy);
-            let received = || -> Vec<u64> {
-                let workers = router.shards().iter();
-                workers.map(|w| w.stats().snapshot().received).collect()
-            };
-            for licensee in LICENSEES {
-                let mix = every_data_variant(licensee);
-                let attr = load::attribution(&mix, &router);
-                for (request, &bucket) in mix.iter().zip(&attr) {
-                    let before = received();
-                    router.handle(request);
-                    let moved: Vec<usize> =
-                        (0..shards).filter(|&k| received()[k] > before[k]).collect();
-                    // Searches reach every shard; a licensee's requests
-                    // reach the one shard the partition gave it.
-                    let want: Vec<usize> = match request {
-                        Request::Geographic { .. }
-                        | Request::SiteSearch { .. }
-                        | Request::Shortlist { .. } => (0..shards).collect(),
-                        _ => vec![owners[licensee] as usize],
-                    };
-                    let named: Vec<usize> = match bucket {
-                        b if b == shards => (0..shards).collect(),
-                        owner => vec![owner],
-                    };
-                    assert_eq!(moved, want, "{strategy:?} n={shards} {request:?}");
-                    assert_eq!(named, want, "{strategy:?} n={shards} {request:?}");
-                }
+    for shards in 1..=5 {
+        let fleet = ShardedStore::seeded(&db, shards, ShardStrategy::LicenseeHash, None);
+        let router = ShardRouter::over(&fleet);
+        let received = || -> Vec<u64> {
+            let workers = router.shards().iter();
+            workers.map(|w| w.stats().snapshot().received).collect()
+        };
+        // A name nobody files under is answered by its hash shard too.
+        for licensee in LICENSEES.into_iter().chain(["Nobody Known"]) {
+            let mix = every_data_variant(licensee);
+            let attr = load::attribution(&mix, &router);
+            for (request, &bucket) in mix.iter().zip(&attr) {
+                let before = received();
+                router.handle(request);
+                let moved: Vec<usize> =
+                    (0..shards).filter(|&k| received()[k] > before[k]).collect();
+                // Searches reach every shard; a licensee's requests
+                // reach the one shard its name hashes to.
+                let want: Vec<usize> = match request {
+                    Request::Geographic { .. }
+                    | Request::SiteSearch { .. }
+                    | Request::Shortlist { .. } => (0..shards).collect(),
+                    _ => vec![shard_of_licensee(licensee, shards) as usize],
+                };
+                let named: Vec<usize> = match bucket {
+                    b if b == shards => (0..shards).collect(),
+                    owner => vec![owner],
+                };
+                assert_eq!(moved, want, "n={shards} {request:?}");
+                assert_eq!(named, want, "n={shards} {request:?}");
             }
         }
     }
+}
+
+/// The tests that serve share the process-wide flight recorder and
+/// head-sampling stride, so they run one at a time.
+fn serving() -> MutexGuard<'static, ()> {
+    static SERVING: Mutex<()> = Mutex::new(());
+    SERVING.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+#[test]
+fn self_host_reports_only_its_own_traces() {
+    let _serving = serving();
+    let db = Arc::new(UlsDatabase::from_licenses(licenses()));
+    let fleet = ShardedStore::seeded(&db, 1, ShardStrategy::LicenseeHash, None);
+    let router = ShardRouter::over(&fleet);
+    let stride = hft_obs::trace_sample_every();
+    hft_obs::set_trace_sample_every(1);
+    let first = load::self_host(ServeConfig::default(), &router, &[], |addr| {
+        let network = &every_data_variant("Alpha Networks")[3];
+        let mut client = load::connect(&addr, Proto::Json)?;
+        client.call(network).map_err(|e| e.to_string())
+    });
+    let second = load::self_host(ServeConfig::default(), &router, &[], |_| Ok(()));
+    hft_obs::set_trace_sample_every(stride);
+    let first = first.unwrap();
+    assert!(matches!(first.body, Response::Network { .. }));
+    assert!(
+        !first.traces.is_empty(),
+        "the sampled request filed no trace"
+    );
+    let leaked = second.unwrap().traces;
+    assert!(leaked.is_empty(), "another server's traces: {leaked:?}");
 }
 
 fn plan<'a>(batches: &'a [hft_ingest::DumpBatch], mix: &'a [Request]) -> IngestPlan<'a> {
@@ -316,6 +347,7 @@ fn plan<'a>(batches: &'a [hft_ingest::DumpBatch], mix: &'a [Request]) -> IngestP
 
 #[test]
 fn serve_under_ingest_verifies_a_single_store() {
+    let _serving = serving();
     let batches = render_history(&licenses());
     let mix = ingest_mix(&LICENSEES);
     let open = |applier: &Applier| {
@@ -337,6 +369,7 @@ fn serve_under_ingest_verifies_a_single_store() {
 
 #[test]
 fn serve_under_ingest_verifies_a_fleet() {
+    let _serving = serving();
     let batches = render_history(&licenses());
     let mix = ingest_mix(&LICENSEES);
     let open = |applier: &Applier| {
@@ -355,6 +388,7 @@ fn serve_under_ingest_verifies_a_fleet() {
 
 #[test]
 fn serve_under_ingest_counts_answers_its_reference_cannot_match() {
+    let _serving = serving();
     // The server's corpus holds a licensee the reference corpus lacks.
     // With no publishes every answer pins to the seed generation, so the
     // requests that see that licensee must come back wrong.

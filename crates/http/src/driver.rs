@@ -445,7 +445,7 @@ impl HttpConn<'_> {
                     ];
                     // The pooled request just reconstructed this network
                     // in the owning engine: cache hit.
-                    let (_, engine) = self.router.owner(name);
+                    let engine = self.router.shards()[self.router.owner(name)].engine();
                     let network = engine.session().network(name, *date);
                     let svg = hft_viz::svgmap::network_to_svg(&network, &markers);
                     let body = pages::licensee_page(

@@ -1,8 +1,8 @@
 //! End-to-end: a real `Server` with the HTTP explorer registered as an
 //! extra listener on the readiness loop, exercised over real sockets on
-//! a one-shard fleet and on a three-shard spatial fleet — pages, the
-//! JSON API's byte-identity with a single-corpus engine, content types,
-//! keep-alive pipelining, and error paths.
+//! a one-shard fleet and on a three-shard fleet — pages, the JSON API's
+//! byte-identity with a single-corpus engine, content types, keep-alive
+//! pipelining, and error paths.
 
 use hft_http::HttpExplorer;
 use hft_ingest::ShardedStore;
@@ -48,11 +48,8 @@ fn corpus() -> UlsDatabase {
     ])
 }
 
-/// The fleets every explorer test runs over.
-const FLEETS: [(usize, ShardStrategy); 2] = [
-    (1, ShardStrategy::LicenseeHash),
-    (3, ShardStrategy::SpatialCell),
-];
+/// The fleet sizes every explorer test runs over.
+const FLEETS: [usize; 2] = [1, 3];
 
 /// One parsed HTTP response.
 struct HttpReply {
@@ -183,8 +180,8 @@ impl HttpClient {
 fn with_server(f: impl Fn(SocketAddr, SocketAddr, &Service<'_>)) {
     let db = Arc::new(corpus());
     let single = Service::new(&db);
-    for (shards, strategy) in FLEETS {
-        let store = ShardedStore::seeded(&db, shards, strategy, None);
+    for shards in FLEETS {
+        let store = ShardedStore::seeded(&db, shards, ShardStrategy::LicenseeHash, None);
         let filled = store
             .shards()
             .iter()

@@ -16,8 +16,8 @@
 //! same corpus `Arc` (so its serving engine relabels instead of
 //! rebuilding), a shard whose piece only grew or edited licenses in
 //! place gets a patched corpus, and only a shard whose licenses moved
-//! (a rewind, a licensee changing shards) is rebuilt from its piece.
-//! Every path lands on the same corpus, indexes included, that
+//! (a rewind, a license filed under a new licensee) is rebuilt from its
+//! piece. Every path lands on the same corpus, indexes included, that
 //! partitioning the full corpus would give.
 //!
 //! A patched corpus is built in the allocation the shard *retired* at
@@ -46,7 +46,6 @@ use std::sync::{Arc, Mutex};
 #[derive(Debug)]
 pub struct ShardedStore {
     shards: Vec<Arc<SnapshotStore>>,
-    strategy: ShardStrategy,
     /// Per shard, the corpus its last replacing publish retired: the
     /// allocation its next change patches once nobody reads it. The
     /// lock is held for a whole publish, so publishes never interleave.
@@ -57,23 +56,23 @@ pub struct ShardedStore {
 }
 
 impl ShardedStore {
-    /// Partition `db` into `shards` pieces under `strategy` and seed
+    /// Partition `db` into `shards` pieces by licensee name and seed
     /// one store per shard at generation 0. A one-shard store serves
-    /// `db` itself rather than a copy.
+    /// `db` itself rather than a copy. The strategy argument has one
+    /// value and is ignored: the `hftbench` fixture still passes it.
     ///
     /// # Panics
     /// Panics when `shards` is zero.
     pub fn seeded(
         db: &Arc<UlsDatabase>,
         shards: usize,
-        strategy: ShardStrategy,
+        _strategy: ShardStrategy,
         as_of: Option<Date>,
     ) -> ShardedStore {
         let corpora: Vec<Arc<UlsDatabase>> = if shards == 1 {
             vec![Arc::clone(db)]
         } else {
-            let parts = partition(db, shards, strategy).shards;
-            parts.into_iter().map(Arc::new).collect()
+            partition(db, shards).into_iter().map(Arc::new).collect()
         };
         let registry = hft_obs::global();
         ShardedStore {
@@ -82,7 +81,6 @@ impl ShardedStore {
                 .enumerate()
                 .map(|(k, sdb)| Arc::new(SnapshotStore::seeded(sdb, as_of, k as u32)))
                 .collect(),
-            strategy,
             retired: Mutex::new(vec![None; shards]),
             paths: Path::ALL
                 .map(|path| registry.counter_with("ingest.shard_publishes", "path", path.name())),
@@ -92,11 +90,6 @@ impl ShardedStore {
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The partitioning strategy.
-    pub fn strategy(&self) -> ShardStrategy {
-        self.strategy
     }
 
     /// The per-shard stores, in shard order.
@@ -133,7 +126,7 @@ impl ShardedStore {
         let next: Vec<(Arc<UlsDatabase>, Path)> = held
             .iter()
             .zip(retired.iter_mut())
-            .zip(pieces(db, self.shards.len(), self.strategy))
+            .zip(pieces(db, self.shards.len()))
             .map(|((held, retired), piece)| advance(held, retired, &piece))
             .collect();
         let mut generation = 0;
@@ -295,7 +288,7 @@ mod tests {
             lic(2, "Beta Microwave", 41.5),
             lic(3, "Gamma Wireless", 42.0),
         ]));
-        let fleet = ShardedStore::seeded(&seed, 3, ShardStrategy::SpatialCell, None);
+        let fleet = ShardedStore::seeded(&seed, 3, ShardStrategy::LicenseeHash, None);
         // Each license is on exactly one shard, and shard stores carry
         // their shard number for telemetry labeling.
         for l in seed.licenses() {
@@ -317,12 +310,10 @@ mod tests {
             lic(1, "Alpha Networks", 41.0),
             lic(2, "Beta Microwave", 41.5),
         ]));
-        for strategy in [ShardStrategy::LicenseeHash, ShardStrategy::SpatialCell] {
-            let fleet = ShardedStore::seeded(&seed, 1, strategy, None);
-            let served = fleet.shard(0).current().db_arc();
-            assert!(Arc::ptr_eq(&served, &seed), "{strategy:?}: seed was copied");
-            assert!(*served == partition(&seed, 1, strategy).shards[0]);
-        }
+        let fleet = ShardedStore::seeded(&seed, 1, ShardStrategy::LicenseeHash, None);
+        let served = fleet.shard(0).current().db_arc();
+        assert!(Arc::ptr_eq(&served, &seed), "seed was copied");
+        assert!(*served == partition(&seed, 1)[0]);
     }
 
     /// Alpha's licenses `1..=n`, license 1 moved north by `edit` degrees.

@@ -146,8 +146,8 @@ fn publish_and_check(fleet: &ShardedStore, applier: &Applier) -> Result<(), Test
         vec![generation; fleet.shard_count()],
         "generations left lockstep"
     );
-    let want = partition(applier.db(), fleet.shard_count(), fleet.strategy());
-    for (k, (store, piece)) in fleet.shards().iter().zip(&want.shards).enumerate() {
+    let want = partition(applier.db(), fleet.shard_count());
+    for (k, (store, piece)) in fleet.shards().iter().zip(&want).enumerate() {
         let now = store.current().db_arc();
         prop_assert!(*now == *piece, "shard {} diverged from the partition", k);
         if *held[k] == *piece {
@@ -227,10 +227,10 @@ proptest! {
     }
 
     /// Delta publish: publishing after every batch through a fleet of
-    /// 1-4 shards, under either strategy, keeps each shard equal to a
-    /// fresh partition of the corpus. The stream's updates move licenses
-    /// between licensees (and so between shards), and one rewind to an
-    /// earlier corpus mid-stream takes the rebuild path. Readers take a
+    /// 1-4 shards keeps each shard equal to a fresh partition of the
+    /// corpus. The stream's updates move licenses between licensees (and
+    /// so between shards), and one rewind to an earlier corpus mid-stream
+    /// takes the rebuild path. Readers take a
     /// shard's snapshot after some batches and hold it for 1-3 more:
     /// while one holds a corpus, a later change must copy rather than
     /// patch it, and once it lets go the corpus may be patched again.
@@ -244,33 +244,32 @@ proptest! {
     ) {
         let batches = to_batches(&specs, &splits);
         let rewind_at = rewind % batches.len().max(1);
-        for strategy in [ShardStrategy::LicenseeHash, ShardStrategy::SpatialCell] {
-            for shards in 1..=4 {
-                let mut applier = Applier::new(UlsDatabase::new());
-                let fleet = ShardedStore::seeded(&applier.db_arc(), shards, strategy, None);
-                let mut saved = Arc::new(UlsDatabase::new());
-                let mut readers = Vec::new();
-                for (i, batch) in batches.iter().enumerate() {
-                    applier.apply(batch);
-                    publish_and_check(&fleet, &applier)?;
-                    for &(at, shard, hold) in &holds {
-                        if at % batches.len() == i {
-                            let snapshot = fleet.shard(shard % shards).current();
-                            let acquired = snapshot.db().clone();
-                            readers.push(Reader { snapshot, acquired, until: i + hold });
-                        }
-                    }
-                    release(&mut readers, i)?;
-                    if i == rewind_at / 2 {
-                        saved = Arc::new(applier.db().clone());
-                    }
-                    if i == rewind_at {
-                        applier = Applier::resume(Arc::clone(&saved), applier.last_date());
-                        publish_and_check(&fleet, &applier)?;
+        for shards in 1..=4 {
+            let mut applier = Applier::new(UlsDatabase::new());
+            let strategy = ShardStrategy::LicenseeHash;
+            let fleet = ShardedStore::seeded(&applier.db_arc(), shards, strategy, None);
+            let mut saved = Arc::new(UlsDatabase::new());
+            let mut readers = Vec::new();
+            for (i, batch) in batches.iter().enumerate() {
+                applier.apply(batch);
+                publish_and_check(&fleet, &applier)?;
+                for &(at, shard, hold) in &holds {
+                    if at % batches.len() == i {
+                        let snapshot = fleet.shard(shard % shards).current();
+                        let acquired = snapshot.db().clone();
+                        readers.push(Reader { snapshot, acquired, until: i + hold });
                     }
                 }
-                release(&mut readers, usize::MAX)?;
+                release(&mut readers, i)?;
+                if i == rewind_at / 2 {
+                    saved = Arc::new(applier.db().clone());
+                }
+                if i == rewind_at {
+                    applier = Applier::resume(Arc::clone(&saved), applier.last_date());
+                    publish_and_check(&fleet, &applier)?;
+                }
             }
+            release(&mut readers, usize::MAX)?;
         }
     }
 

@@ -15,11 +15,9 @@
 //!
 //! * **Point** — a single-licensee request (network, route, APA,
 //!   weather, race, stretch sweep) runs on its owner alone
-//!   ([`ShardRouter::owner`]). Under the licensee-hash strategy the
-//!   owner is a pure function of the name; under the spatial strategy
-//!   it is the shard whose corpus files under the name. A name no shard
-//!   files under goes to shard 0, whose answer is the unknown-licensee
-//!   answer a single corpus gives.
+//!   ([`ShardRouter::owner`]), the hash of the name. A name no shard
+//!   files under goes to its hash shard too, whose answer is the
+//!   unknown-licensee answer a single corpus gives.
 //! * **Scatter** — geographic, site and funnel queries run on every
 //!   shard in turn and the per-shard answers merge deterministically:
 //!   license searches merge ascending ids, funnel counters sum
@@ -42,13 +40,13 @@
 //! mutex is taken only to clone the engine handle out (and, rarely, to
 //! rebuild it), never while computing a response.
 //!
-//! **Generation-vector pinning:** a scatter, and a spatial owner
-//! lookup, captures every shard's current engine in one pass *before*
-//! any leg runs ([`ShardRouter::engines`]), so all per-shard
-//! computations run against the generation vector that existed when
-//! the request started — a publish landing mid-request cannot produce
-//! an answer mixing a shard's old corpus with another's new one beyond
-//! what the vector already showed at capture time. Callers that need a
+//! **Generation-vector pinning:** a scatter captures every shard's
+//! current engine in one pass *before* any leg runs
+//! ([`ShardRouter::engines`]), so all per-shard computations run
+//! against the generation vector that existed when the request started
+//! — a publish landing mid-request cannot produce an answer mixing a
+//! shard's old corpus with another's new one beyond what the vector
+//! already showed at capture time. Callers that need a
 //! provably-uniform vector bracket the request with
 //! [`ShardedStore::generation_vector`] reads, exactly as single-store
 //! clients bracket with the generation counter.
@@ -58,7 +56,7 @@ use crate::service::{metrics_json, traces_response, Handler, Service};
 use crate::stats::{ServeSnapshot, ServeStats};
 use hft_core::session::StatsSnapshot;
 use hft_ingest::{ShardedStore, SnapshotStore};
-use hft_uls::shard::{shard_of_licensee, ShardStrategy};
+use hft_uls::shard::shard_of_licensee;
 #[cfg(test)]
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -68,7 +66,6 @@ use std::time::Instant;
 /// docs.
 pub struct ShardRouter {
     shards: Vec<Shard>,
-    strategy: ShardStrategy,
     /// Transport-level counters (received/queued/completed): the wire
     /// server reports into these; per-shard work reports into each
     /// shard's own labeled stats.
@@ -88,7 +85,6 @@ impl ShardRouter {
                 .enumerate()
                 .map(|(k, s)| Shard::new(Arc::clone(s), k as u32))
                 .collect(),
-            strategy: store.strategy(),
             stats: Arc::new(ServeStats::default()),
             #[cfg(test)]
             panicking_shard: AtomicUsize::new(usize::MAX),
@@ -106,22 +102,10 @@ impl ShardRouter {
         self.shards.iter().map(Shard::engine).collect()
     }
 
-    /// The shard that answers for `licensee`, with its current engine.
-    /// Under licensee hashing that is the name's hash. Under spatial
-    /// partitioning it is the first shard whose corpus files under the
-    /// name, read from one generation vector, and shard 0 when none
-    /// does: every shard gives an unknown licensee the same answer.
-    pub fn owner(&self, licensee: &str) -> (usize, Arc<Service<'static>>) {
-        if self.strategy.routes_by_name() {
-            let k = shard_of_licensee(licensee, self.shards.len()) as usize;
-            return (k, self.shards[k].engine());
-        }
-        let mut engines = self.engines();
-        let k = engines
-            .iter()
-            .position(|e| !e.session().index().members_of(licensee).is_empty())
-            .unwrap_or(0);
-        (k, engines.swap_remove(k))
+    /// The shard that answers for `licensee`: the hash of the name.
+    /// Reads no engine.
+    pub fn owner(&self, licensee: &str) -> usize {
+        shard_of_licensee(licensee, self.shards.len()) as usize
     }
 
     /// Answer one request. Safe to call from many threads at once.
@@ -138,7 +122,8 @@ impl ShardRouter {
             },
             Dispatch::Shutdown => Response::ShuttingDown,
             Dispatch::Point(licensee) => {
-                let (k, engine) = self.owner(licensee);
+                let k = self.owner(licensee);
+                let engine = self.shards[k].engine();
                 let _leg = hft_obs::span_sharded("shard.call", k as u32);
                 self.call(k, &engine, req)
             }
@@ -371,7 +356,7 @@ mod tests {
     use hft_time::Date;
     use hft_uls::{
         CallSign, FrequencyAssignment, License, LicenseId, MicrowavePath, RadioService,
-        StationClass, TowerSite, UlsDatabase,
+        ShardStrategy, StationClass, TowerSite, UlsDatabase,
     };
     use std::net::TcpStream;
     use std::time::Duration;
@@ -487,15 +472,13 @@ mod tests {
     fn sharded_answers_match_single_corpus_bytes() {
         let db = Arc::new(corpus());
         let single = Service::new(&db);
-        for strategy in [ShardStrategy::LicenseeHash, ShardStrategy::SpatialCell] {
-            for n in [1usize, 2, 3, 5] {
-                let store = ShardedStore::seeded(&db, n, strategy, None);
-                let router = ShardRouter::over(&store);
-                for req in requests() {
-                    let got = router.handle(&req).encode();
-                    let want = single.handle(&req).encode();
-                    assert_eq!(got, want, "{strategy:?} n={n} req={req:?}");
-                }
+        for n in [1usize, 2, 3, 5] {
+            let store = ShardedStore::seeded(&db, n, ShardStrategy::LicenseeHash, None);
+            let router = ShardRouter::over(&store);
+            for req in requests() {
+                let got = router.handle(&req).encode();
+                let want = single.handle(&req).encode();
+                assert_eq!(got, want, "n={n} req={req:?}");
             }
         }
     }
@@ -562,46 +545,6 @@ mod tests {
         let owner = shard_of_licensee("Alpha Networks", 2) as usize;
         assert_eq!(router.shards()[owner].stats().snapshot().received, 2);
         assert_eq!(router.shards()[1 - owner].stats().snapshot().received, 1);
-    }
-
-    #[test]
-    fn spatial_point_requests_reach_one_shard() {
-        let db = Arc::new(corpus());
-        let store = ShardedStore::seeded(&db, 4, ShardStrategy::SpatialCell, None);
-        let router = ShardRouter::over(&store);
-        let received = || -> Vec<u64> {
-            let shards = router.shards().iter();
-            shards.map(|s| s.stats().snapshot().received).collect()
-        };
-        let date = Date::new(2016, 1, 1).unwrap();
-        let owners = hft_uls::shard::assign(&db, 4, ShardStrategy::SpatialCell);
-        for name in db.licensees() {
-            let before = received();
-            router.handle(&Request::Network {
-                licensee: name.into(),
-                date,
-            });
-            let moved: Vec<usize> = (0..4).filter(|&k| received()[k] > before[k]).collect();
-            assert_eq!(moved, vec![owners[name] as usize], "{name}");
-        }
-
-        // A name no shard files under reconstructs on shard 0 alone.
-        let reconstructions = || -> Vec<u64> {
-            let engines = router.engines().into_iter();
-            engines
-                .map(|e| e.session().stats().reconstructions)
-                .collect()
-        };
-        let before = reconstructions();
-        for i in 0..20 {
-            router.handle(&Request::Network {
-                licensee: format!("Nobody Known {i}"),
-                date,
-            });
-        }
-        let after = reconstructions();
-        let grew: Vec<u64> = (0..4).map(|k| after[k] - before[k]).collect();
-        assert_eq!(grew, vec![20, 0, 0, 0]);
     }
 
     #[test]

@@ -3,15 +3,15 @@
 //! scatter-gather is transparent (a [`ShardRouter`] over any fleet size
 //! answers byte-identically to a single-corpus [`Service`], before and
 //! after the fleet publishes an edited corpus) — for random corpora,
-//! random edits, random requests, random shard counts including the
-//! degenerate N=1 fleet, under both partition strategies.
+//! random edits, random requests and random shard counts including the
+//! degenerate N=1 fleet.
 
 use hft_geodesy::LatLon;
 use hft_ingest::ShardedStore;
 use hft_serve::api::Request;
 use hft_serve::{Service, ShardRouter};
 use hft_time::Date;
-use hft_uls::shard::{partition, ShardStrategy};
+use hft_uls::shard::{partition, shard_of_licensee, ShardStrategy};
 use hft_uls::{
     CallSign, FrequencyAssignment, License, LicenseId, MicrowavePath, RadioService, StationClass,
     TowerSite, UlsDatabase,
@@ -41,8 +41,7 @@ fn license(seq: u64, name_ix: usize, lat: f64, lon: f64, sited: bool) -> License
         grant_date: Date::new(2015, 1, 1).unwrap(),
         termination_date: None,
         cancellation_date: None,
-        // Site-less licenses exercise the spatial strategy's name-hash
-        // fallback for licensees with no anchor cell.
+        // Site-less licenses: a licensee need not file any site.
         paths: if sited {
             vec![MicrowavePath {
                 tx: TowerSite::at(LatLon::new(lat, lon).unwrap()),
@@ -94,8 +93,8 @@ fn edits() -> impl Strategy<Value = Vec<Edit>> {
 }
 
 /// `db` with `edits` applied in turn: cancel a license, move it to
-/// another licensee (and so, maybe, another shard), move its sites (a
-/// spatial anchor can move), drop it, or file a new one.
+/// another licensee (and so, maybe, another shard), move its sites,
+/// drop it, or file a new one.
 fn edited(db: &UlsDatabase, edits: &[Edit]) -> UlsDatabase {
     let mut licenses = db.licenses().to_vec();
     for (j, &(kind, which, name_ix, lat, lon)) in edits.iter().enumerate() {
@@ -115,13 +114,6 @@ fn edited(db: &UlsDatabase, edits: &[Edit]) -> UlsDatabase {
         }
     }
     UlsDatabase::from_licenses(licenses)
-}
-
-fn strategy() -> impl Strategy<Value = ShardStrategy> {
-    prop_oneof![
-        Just(ShardStrategy::LicenseeHash),
-        Just(ShardStrategy::SpatialCell),
-    ]
 }
 
 fn name() -> BoxedStrategy<String> {
@@ -207,11 +199,10 @@ proptest! {
     #[test]
     fn corridor_corpus_leaves_no_shard_empty(shards in 1usize..=8) {
         let db = corridor_db();
-        let assignment = hft_uls::shard::assign(db, shards, ShardStrategy::LicenseeHash);
-        prop_assert!(!assignment.is_empty());
+        prop_assert!(!db.licensees().is_empty());
         let mut licensees = vec![0usize; shards];
-        for &s in assignment.values() {
-            licensees[s as usize] += 1;
+        for name in db.licensees() {
+            licensees[shard_of_licensee(name, shards) as usize] += 1;
         }
         for (k, &count) in licensees.iter().enumerate() {
             prop_assert!(count > 0, "shard {k} of {shards} owns no licensee: {licensees:?}");
@@ -219,34 +210,31 @@ proptest! {
     }
 
     /// Partitioning is licensee-granular and total: every license lands
-    /// on exactly one shard, that shard is the assignment map's answer
-    /// for its licensee, and shard sizes sum to the corpus size.
+    /// on exactly one shard, that shard is its licensee's name hash, and
+    /// shard sizes sum to the corpus size.
     #[test]
     fn every_license_maps_to_exactly_one_shard(
         db in corpus(),
         shards in 1usize..8,
-        strategy in strategy(),
     ) {
-        let part = partition(&db, shards, strategy);
-        prop_assert_eq!(part.shards.len(), shards);
-        let total: usize = part.shards.iter().map(|s| s.licenses().len()).sum();
+        let part = partition(&db, shards);
+        prop_assert_eq!(part.len(), shards);
+        let total: usize = part.iter().map(|s| s.licenses().len()).sum();
         prop_assert_eq!(total, db.licenses().len());
         for l in db.licenses() {
             let holders: Vec<usize> = part
-                .shards
                 .iter()
                 .enumerate()
                 .filter(|(_, s)| s.licenses().iter().any(|x| x.id == l.id))
                 .map(|(k, _)| k)
                 .collect();
             prop_assert_eq!(holders.len(), 1, "license {:?} on shards {:?}", l.id, holders);
-            let owner = part.assignment.get(&l.licensee).copied();
-            prop_assert_eq!(owner, Some(holders[0] as u32));
+            prop_assert_eq!(shard_of_licensee(&l.licensee, shards), holders[0] as u32);
         }
     }
 
-    /// Scatter-gather transparency: for any corpus, fleet size and
-    /// strategy, the router's answer bytes equal a single-corpus
+    /// Scatter-gather transparency: for any corpus and fleet size, the
+    /// router's answer bytes equal a single-corpus
     /// service's answer bytes for every request — and still do after
     /// the fleet publishes an edited corpus, whichever shards the edits
     /// touched.
@@ -255,10 +243,10 @@ proptest! {
         db in corpus(),
         edits in edits(),
         shards in 1usize..8,
-        strategy in strategy(),
         requests in proptest::collection::vec(request(), 1..6),
     ) {
-        let store = ShardedStore::seeded(&Arc::new(db.clone()), shards, strategy, None);
+        let store =
+            ShardedStore::seeded(&Arc::new(db.clone()), shards, ShardStrategy::LicenseeHash, None);
         let router = ShardRouter::over(&store);
         let next = edited(&db, &edits);
         for (generation, corpus) in [&db, &next].into_iter().enumerate() {
@@ -272,8 +260,7 @@ proptest! {
                 prop_assert_eq!(
                     String::from_utf8_lossy(&got),
                     String::from_utf8_lossy(&want),
-                    "{:?} n={} generation {} req={:?}",
-                    strategy,
+                    "n={} generation {} req={:?}",
                     shards,
                     generation,
                     req

@@ -55,5 +55,5 @@ pub use license::{
     StationClass, TowerSite,
 };
 pub use portal::{UlsDatabase, UlsPortal};
-pub use shard::{Partition, ShardStrategy};
-pub use siteindex::{cell_of, SiteIndex, CELL_DEG};
+pub use shard::ShardStrategy;
+pub use siteindex::{SiteIndex, CELL_DEG};

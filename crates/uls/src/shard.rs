@@ -1,25 +1,23 @@
 //! Deterministic corpus partitioning for the sharded serving fleet.
 //!
 //! A fleet splits one [`UlsDatabase`] into N disjoint shard corpora so
-//! each shard worker answers over its own piece. Both strategies
-//! partition at **licensee granularity** — every license filed under a
-//! name lands on that name's shard — because the query surface is
+//! each shard worker answers over its own piece. Partitioning is at
+//! **licensee granularity** — every license filed under a name lands on
+//! [`shard_of_licensee`] of that name — because the query surface is
 //! licensee-shaped on both ends:
 //!
 //! * single-licensee requests (network, route, APA, weather) are
-//!   answerable by exactly one shard, and
+//!   answerable by exactly one shard, found from the name alone, and
 //! * the §2.2 funnel counts *licensees*, so per-shard funnel counters
 //!   sum to the single-corpus counters without double counting.
 //!
-//! Assignment must be a pure function of the corpus (no `RandomState`,
-//! no iteration-order dependence): the router, the load generator and
-//! the ingest publisher all recompute it independently and must agree,
-//! across processes and across runs.
+//! The owner must be a pure function of the name (no `RandomState`, no
+//! corpus lookup): the router, the load generator and the ingest
+//! publisher all recompute it independently and must agree, across
+//! processes and across runs.
 
 use crate::license::License;
 use crate::portal::UlsDatabase;
-use crate::siteindex::cell_of;
-use std::collections::HashMap;
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -39,46 +37,15 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// How licensees are assigned to shards.
+/// How licensees are assigned to shards: always by
+/// [`shard_of_licensee`]. Kept, with its one variant, only because the
+/// `hftbench` benchmark's fixture still names it when it seeds a fleet
+/// (`ShardedStore::seeded` ignores it); it goes with the next change to
+/// the benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardStrategy {
-    /// Hash of the filed licensee name, modulo the shard count. Routing
-    /// a single-licensee request is a pure function of the name — one
-    /// hop, no corpus lookup — so this is the default.
+    /// Hash of the filed licensee name, modulo the shard count.
     LicenseeHash,
-    /// Hash of the licensee's *anchor cell*: the minimum [`cell_of`]
-    /// grid cell over every tower site the licensee files. Licensees
-    /// operating in the same corner of the map co-locate, which keeps
-    /// geographic scatter answers concentrated on few shards; the cost
-    /// is that the owner of a name must be looked up in the shard
-    /// corpora instead of computed from it. Licensees with no sites fall
-    /// back to the name hash.
-    SpatialCell,
-}
-
-impl ShardStrategy {
-    /// Parse a CLI/wire strategy name.
-    pub fn parse(s: &str) -> Option<ShardStrategy> {
-        match s {
-            "licensee" => Some(ShardStrategy::LicenseeHash),
-            "spatial" => Some(ShardStrategy::SpatialCell),
-            _ => None,
-        }
-    }
-
-    /// The CLI/wire name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ShardStrategy::LicenseeHash => "licensee",
-            ShardStrategy::SpatialCell => "spatial",
-        }
-    }
-
-    /// Whether the owning shard of a licensee is computable from the
-    /// name alone, or must be looked up in the shard corpora.
-    pub fn routes_by_name(&self) -> bool {
-        matches!(self, ShardStrategy::LicenseeHash)
-    }
 }
 
 /// Murmur3's 64-bit finalizer (`fmix64`): a bijective avalanche mix
@@ -97,7 +64,7 @@ fn mix64(mut h: u64) -> u64 {
     h
 }
 
-/// The owning shard of `licensee` under [`ShardStrategy::LicenseeHash`].
+/// The owning shard of `licensee` in a fleet of `shards`.
 ///
 /// # Panics
 /// Panics when `shards` is zero.
@@ -106,43 +73,21 @@ pub fn shard_of_licensee(licensee: &str, shards: usize) -> u32 {
     (mix64(fnv1a(licensee.as_bytes())) % shards as u64) as u32
 }
 
-/// The owning shard of an anchor grid cell under
-/// [`ShardStrategy::SpatialCell`].
-fn shard_of_cell(cell: (i32, i32), shards: usize) -> u32 {
-    let mut bytes = [0u8; 8];
-    bytes[..4].copy_from_slice(&cell.0.to_le_bytes());
-    bytes[4..].copy_from_slice(&cell.1.to_le_bytes());
-    (mix64(fnv1a(&bytes)) % shards as u64) as u32
-}
-
-/// A corpus split into per-shard corpora plus the licensee→shard map
-/// that produced it.
-#[derive(Debug)]
-pub struct Partition {
-    /// One corpus per shard. Within each shard, licenses keep their
-    /// relative corpus insertion order.
-    pub shards: Vec<UlsDatabase>,
-    /// Every licensee name in the source corpus → its owning shard.
-    pub assignment: HashMap<String, u32>,
-}
-
-/// Split `db` into `shards` disjoint corpora under `strategy`.
+/// Split `db` into `shards` disjoint corpora, one per shard. Within
+/// each shard, licenses keep their relative corpus order.
 ///
-/// Deterministic: the same corpus, shard count and strategy always
-/// produce the same partition, and the union of the shard corpora is
-/// exactly the source corpus (each license appears on exactly one
-/// shard — its licensee's).
+/// Deterministic: the same corpus and shard count always produce the
+/// same partition, and the union of the shard corpora is exactly the
+/// source corpus (each license appears on exactly one shard — its
+/// licensee's).
 ///
 /// # Panics
 /// Panics when `shards` is zero.
-pub fn partition(db: &UlsDatabase, shards: usize, strategy: ShardStrategy) -> Partition {
-    Partition {
-        shards: pieces(db, shards, strategy)
-            .into_iter()
-            .map(|piece| UlsDatabase::from_licenses(piece.into_iter().cloned().collect()))
-            .collect(),
-        assignment: assign(db, shards, strategy),
-    }
+pub fn partition(db: &UlsDatabase, shards: usize) -> Vec<UlsDatabase> {
+    pieces(db, shards)
+        .into_iter()
+        .map(|piece| UlsDatabase::from_licenses(piece.into_iter().cloned().collect()))
+        .collect()
 }
 
 /// `db`'s licenses cut into the `shards` pieces of [`partition`], each
@@ -151,51 +96,13 @@ pub fn partition(db: &UlsDatabase, shards: usize, strategy: ShardStrategy) -> Pa
 ///
 /// # Panics
 /// Panics when `shards` is zero.
-pub fn pieces(db: &UlsDatabase, shards: usize, strategy: ShardStrategy) -> Vec<Vec<&License>> {
-    let assignment = assign(db, shards, strategy);
+pub fn pieces(db: &UlsDatabase, shards: usize) -> Vec<Vec<&License>> {
+    assert!(shards > 0, "shard count must be at least 1");
     let mut pieces = vec![Vec::new(); shards];
     for lic in db.licenses() {
-        pieces[assignment[&lic.licensee] as usize].push(lic);
+        pieces[shard_of_licensee(&lic.licensee, shards) as usize].push(lic);
     }
     pieces
-}
-
-/// The licensee→shard map for `db` under `strategy`, without building
-/// the shard corpora.
-pub fn assign(db: &UlsDatabase, shards: usize, strategy: ShardStrategy) -> HashMap<String, u32> {
-    assert!(shards > 0, "shard count must be at least 1");
-    match strategy {
-        ShardStrategy::LicenseeHash => db
-            .licensees()
-            .into_iter()
-            .map(|name| (name.to_string(), shard_of_licensee(name, shards)))
-            .collect(),
-        ShardStrategy::SpatialCell => {
-            // Anchor = minimum grid cell across every site the licensee
-            // files, scanned in corpus order. The min is order-free, so
-            // the anchor is a pure function of the license set.
-            let mut anchors: HashMap<&str, Option<(i32, i32)>> = HashMap::new();
-            for lic in db.licenses() {
-                let anchor = anchors.entry(lic.licensee.as_str()).or_insert(None);
-                for site in lic.sites() {
-                    let cell = cell_of(&site.position);
-                    if anchor.is_none_or(|a| cell < a) {
-                        *anchor = Some(cell);
-                    }
-                }
-            }
-            anchors
-                .into_iter()
-                .map(|(name, anchor)| {
-                    let shard = match anchor {
-                        Some(cell) => shard_of_cell(cell, shards),
-                        None => shard_of_licensee(name, shards),
-                    };
-                    (name.to_string(), shard)
-                })
-                .collect()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -274,33 +181,20 @@ mod tests {
     }
 
     #[test]
-    fn strategy_names_round_trip() {
-        for s in [ShardStrategy::LicenseeHash, ShardStrategy::SpatialCell] {
-            assert_eq!(ShardStrategy::parse(s.name()), Some(s));
-        }
-        assert_eq!(ShardStrategy::parse("bogus"), None);
-        assert!(ShardStrategy::LicenseeHash.routes_by_name());
-        assert!(!ShardStrategy::SpatialCell.routes_by_name());
-    }
-
-    #[test]
     fn every_license_lands_on_exactly_one_shard() {
         let db = corpus();
-        for strategy in [ShardStrategy::LicenseeHash, ShardStrategy::SpatialCell] {
-            for n in 1..=6 {
-                let part = partition(&db, n, strategy);
-                assert_eq!(part.shards.len(), n);
-                let total: usize = part.shards.iter().map(|s| s.len()).sum();
-                assert_eq!(total, db.len(), "{strategy:?} n={n}");
-                // Disjoint: each id appears in exactly one shard corpus.
-                for l in db.licenses() {
-                    let holders = part
-                        .shards
-                        .iter()
-                        .filter(|s| s.license_detail(l.id).is_some())
-                        .count();
-                    assert_eq!(holders, 1, "{strategy:?} n={n} id={}", l.id);
-                }
+        for n in 1..=6 {
+            let shards = partition(&db, n);
+            assert_eq!(shards.len(), n);
+            let total: usize = shards.iter().map(|s| s.len()).sum();
+            assert_eq!(total, db.len(), "n={n}");
+            // Disjoint: each id appears in exactly one shard corpus.
+            for l in db.licenses() {
+                let holders = shards
+                    .iter()
+                    .filter(|s| s.license_detail(l.id).is_some())
+                    .count();
+                assert_eq!(holders, 1, "n={n} id={}", l.id);
             }
         }
     }
@@ -308,72 +202,43 @@ mod tests {
     #[test]
     fn licensees_are_never_split_across_shards() {
         let db = corpus();
-        for strategy in [ShardStrategy::LicenseeHash, ShardStrategy::SpatialCell] {
-            let part = partition(&db, 4, strategy);
-            for shard in &part.shards {
-                for l in shard.licenses() {
-                    assert_eq!(part.assignment[&l.licensee] as usize, shard_index(&part, l));
-                }
-            }
-            for (k, piece) in pieces(&db, 4, strategy).iter().enumerate() {
-                assert!(piece
-                    .iter()
-                    .all(|l| part.assignment[&l.licensee] as usize == k));
-            }
-            // All of a licensee's filings are on their one shard.
-            for name in db.licensees() {
-                let shard = &part.shards[part.assignment[name] as usize];
-                assert_eq!(
-                    shard.licensee_search(name).len(),
-                    db.licensee_search(name).len(),
-                    "{strategy:?} {name}"
-                );
+        let shards = partition(&db, 4);
+        for (k, shard) in shards.iter().enumerate() {
+            for l in shard.licenses() {
+                assert_eq!(shard_of_licensee(&l.licensee, 4) as usize, k);
             }
         }
-    }
-
-    fn shard_index(part: &Partition, l: &License) -> usize {
-        part.shards
-            .iter()
-            .position(|s| s.license_detail(l.id).is_some())
-            .unwrap()
+        for (k, piece) in pieces(&db, 4).iter().enumerate() {
+            assert!(piece
+                .iter()
+                .all(|l| shard_of_licensee(&l.licensee, 4) as usize == k));
+        }
+        // All of a licensee's filings are on their one shard.
+        for name in db.licensees() {
+            let shard = &shards[shard_of_licensee(name, 4) as usize];
+            assert_eq!(
+                shard.licensee_search(name).len(),
+                db.licensee_search(name).len(),
+                "{name}"
+            );
+        }
     }
 
     #[test]
     fn single_shard_partition_is_the_identity() {
         let db = corpus();
-        for strategy in [ShardStrategy::LicenseeHash, ShardStrategy::SpatialCell] {
-            let part = partition(&db, 1, strategy);
-            assert_eq!(part.shards[0], db, "{strategy:?}");
-        }
+        assert_eq!(partition(&db, 1), vec![db]);
     }
 
     #[test]
     fn assignment_is_deterministic() {
         let db = corpus();
-        for strategy in [ShardStrategy::LicenseeHash, ShardStrategy::SpatialCell] {
-            let a = assign(&db, 8, strategy);
-            let b = assign(&db, 8, strategy);
-            assert_eq!(a, b);
-        }
-        // Name routing matches the partition's assignment.
-        let part = partition(&db, 8, ShardStrategy::LicenseeHash);
+        let shards = partition(&db, 8);
+        assert_eq!(shards, partition(&db, 8));
+        // Name routing finds each licensee's filings.
         for name in db.licensees() {
-            assert_eq!(part.assignment[name], shard_of_licensee(name, 8));
-        }
-    }
-
-    #[test]
-    fn spatial_cells_co_locate_nearby_licensees() {
-        // Two licensees whose towers share a 0.25° cell must land on the
-        // same shard under the spatial strategy, for any shard count.
-        let db = UlsDatabase::from_licenses(vec![
-            lic(1, "East Tower Co", 41.01, -88.01),
-            lic(2, "West Tower Co", 41.02, -88.02),
-        ]);
-        for n in 1..=7 {
-            let a = assign(&db, n, ShardStrategy::SpatialCell);
-            assert_eq!(a["East Tower Co"], a["West Tower Co"], "n={n}");
+            let k = shard_of_licensee(name, 8) as usize;
+            assert!(!shards[k].licensee_search(name).is_empty(), "{name}");
         }
     }
 }

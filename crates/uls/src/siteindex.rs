@@ -80,11 +80,8 @@ pub struct SiteIndex {
     site_count: usize,
 }
 
-/// The grid cell covering `position` — the same quantization the
-/// bucket grid uses at insert time, exposed so corpus partitioning
-/// ([`crate::shard`]) can anchor licensees to the cells geographic
-/// queries walk.
-pub fn cell_of(position: &LatLon) -> (i32, i32) {
+/// The grid cell covering `position`.
+fn cell_of(position: &LatLon) -> (i32, i32) {
     (lat_cell(position.lat_deg()), lon_cell(position.lon_deg()))
 }
 
@@ -128,7 +125,7 @@ impl SiteIndex {
             vec: UnitEcef::from_latlon(position),
             position: *position,
         };
-        let key = (lat_cell(position.lat_deg()), lon_cell(position.lon_deg()));
+        let key = cell_of(position);
         let cell = self.cells.entry(key).or_default();
         if cell.last().is_some_and(|e| e.license > license) {
             let pos = cell.partition_point(|e| e.license <= license);
@@ -147,10 +144,7 @@ impl SiteIndex {
     /// number of entries removed.
     pub fn remove_license(&mut self, license: usize, positions: &[LatLon]) -> usize {
         let mut removed = 0;
-        let mut keys: Vec<(i32, i32)> = positions
-            .iter()
-            .map(|p| (lat_cell(p.lat_deg()), lon_cell(p.lon_deg())))
-            .collect();
+        let mut keys: Vec<(i32, i32)> = positions.iter().map(cell_of).collect();
         keys.sort_unstable();
         keys.dedup();
         for key in keys {

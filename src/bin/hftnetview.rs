@@ -39,9 +39,9 @@
 //! dashboards on a second listener sharing the same evented loop)
 //! until a `shutdown` request arrives, then dumps the serving counters
 //! as JSON on stdout. Every server is a fleet: the corpus is partitioned
-//! across `--shards N` in-process shards (default 1) behind the shard
-//! router (`--strategy licensee|spatial` picks the partitioner), and
-//! answers are byte-identical to a single corpus's. With `--follow DIR`
+//! by licensee name across `--shards N` in-process shards (default 1)
+//! behind the shard router, and answers are byte-identical to a single
+//! corpus's. With `--follow DIR`
 //! it starts from an **empty** corpus instead of the generated one and
 //! tails `DIR` for transaction dumps, publishing a new corpus generation
 //! per ingested batch (to every shard, in lockstep) while queries keep
@@ -83,7 +83,6 @@ struct Args {
     metrics_out: Option<PathBuf>,
     prom: bool,
     shards: usize,
-    strategy: hft_uls::ShardStrategy,
     trace_sample: Option<u64>,
     connect: Option<String>,
     id: Option<u128>,
@@ -108,7 +107,6 @@ fn parse_args() -> Result<Args, String> {
         metrics_out: None,
         prom: false,
         shards: 1,
-        strategy: hft_uls::ShardStrategy::LicenseeHash,
         trace_sample: None,
         connect: None,
         id: None,
@@ -164,11 +162,6 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--shards must be at least 1".into());
                 }
             }
-            "--strategy" => {
-                let v = args.next().ok_or("--strategy needs a value")?;
-                parsed.strategy = hft_uls::ShardStrategy::parse(&v)
-                    .ok_or_else(|| format!("bad strategy {v:?} (licensee|spatial)"))?;
-            }
             "--trace-sample" => {
                 let v = args.next().ok_or("--trace-sample needs a value")?;
                 parsed.trace_sample =
@@ -196,7 +189,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn usage() -> String {
-    "usage: hftnetview <funnel|table1|table2|table3|fig1|fig2|fig3|fig4a|fig4b|fig5|weather|race|entity|overhead|export|yaml NAME|serve|trace|ingest|metrics|all> [--seed N] [--out DIR] [--stats] [--port N] [--http PORT] [--workers N] [--queue-depth N] [--shards N] [--strategy licensee|spatial] [--trace-sample N] [--follow DIR] [--metrics-interval SECS] [--metrics-out PATH] [--prom] [--connect HOST:PORT] [--id HEX] [--limit N]".to_string()
+    "usage: hftnetview <funnel|table1|table2|table3|fig1|fig2|fig3|fig4a|fig4b|fig5|weather|race|entity|overhead|export|yaml NAME|serve|trace|ingest|metrics|all> [--seed N] [--out DIR] [--stats] [--port N] [--http PORT] [--workers N] [--queue-depth N] [--shards N] [--trace-sample N] [--follow DIR] [--metrics-interval SECS] [--metrics-out PATH] [--prom] [--connect HOST:PORT] [--id HEX] [--limit N]".to_string()
 }
 
 fn write(path: &Path, contents: &str) -> std::io::Result<()> {
@@ -230,28 +223,27 @@ fn run(args: &Args) -> Result<(), String> {
             .map(|secs| spawn_metrics_dumper(secs, args.metrics_out.clone()));
         let served = if let Some(dir) = &args.follow {
             eprintln!(
-                "live-serving on {addr}, following {} ({} workers, queue depth {}, {} shard(s), {} partitioning)",
+                "live-serving on {addr}, following {} ({} workers, queue depth {}, {} shard(s))",
                 dir.display(),
                 args.workers,
                 args.queue_depth,
                 args.shards,
-                args.strategy.name(),
             );
-            serve_follow(&server, dir, args.shards, args.strategy, args.http)
+            serve_follow(&server, dir, args.shards, args.http)
         } else {
             // A one-shard fleet serves this very corpus; a larger one
             // holds its pieces, and the whole corpus is dropped here.
             let fleet = {
                 let db = std::sync::Arc::new(generate(&chicago_nj(), args.seed).db);
                 eprintln!(
-                    "serving {} licenses on {addr} ({} workers, queue depth {}, {} shard(s), {} partitioning)",
+                    "serving {} licenses on {addr} ({} workers, queue depth {}, {} shard(s))",
                     db.len(),
                     args.workers,
                     args.queue_depth,
                     args.shards,
-                    args.strategy.name(),
                 );
-                hft_ingest::ShardedStore::seeded(&db, args.shards, args.strategy, None)
+                let strategy = hft_uls::ShardStrategy::LicenseeHash;
+                hft_ingest::ShardedStore::seeded(&db, args.shards, strategy, None)
             };
             run_serve(&server, &hft_serve::ShardRouter::over(&fleet), args.http)
         };
@@ -738,12 +730,12 @@ fn serve_follow(
     server: &hft_serve::Server,
     dir: &Path,
     shards: usize,
-    strategy: hft_uls::ShardStrategy,
     http: Option<u16>,
 ) -> std::io::Result<hft_serve::ServeSnapshot> {
     use std::sync::atomic::{AtomicBool, Ordering};
 
     let empty = std::sync::Arc::new(UlsDatabase::new());
+    let strategy = hft_uls::ShardStrategy::LicenseeHash;
     let fleet = hft_ingest::ShardedStore::seeded(&empty, shards, strategy, None);
     let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
