@@ -41,11 +41,10 @@
 //! as JSON on stdout. Every server is a fleet: the corpus is partitioned
 //! by licensee name across `--shards N` in-process shards (default 1)
 //! behind the shard router, and answers are byte-identical to a single
-//! corpus's. With `--follow DIR`
-//! it starts from an **empty** corpus instead of the generated one and
-//! tails `DIR` for transaction dumps, publishing a new corpus generation
-//! per ingested batch (to every shard, in lockstep) while queries keep
-//! answering. With `--trace-sample N` one request in N is
+//! corpus's. With `--follow DIR` it starts from an **empty** corpus
+//! instead of the generated one and tails `DIR` for transaction dumps,
+//! publishing a new corpus generation per ingested batch (to every
+//! shard, in lockstep) while queries keep answering. With `--trace-sample N` one request in N is
 //! head-sampled into the flight recorder (1 = every request; slow
 //! requests are always captured); `trace --connect` pulls the recorded
 //! waterfalls back out. With `--metrics-interval SECS` a background
