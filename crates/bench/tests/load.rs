@@ -319,9 +319,12 @@ fn self_host_reports_only_its_own_traces() {
     let stride = hft_obs::trace_sample_every();
     hft_obs::set_trace_sample_every(1);
     let first = load::self_host(ServeConfig::default(), &router, &[], |addr| {
-        let network = &every_data_variant("Alpha Networks")[3];
+        let network = Request::Network {
+            licensee: "Alpha Networks".into(),
+            date: date(2017, 1),
+        };
         let mut client = load::connect(&addr, Proto::Json)?;
-        client.call(network).map_err(|e| e.to_string())
+        client.call(&network).map_err(|e| e.to_string())
     });
     let second = load::self_host(ServeConfig::default(), &router, &[], |_| Ok(()));
     hft_obs::set_trace_sample_every(stride);
