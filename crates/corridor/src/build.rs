@@ -1041,10 +1041,10 @@ fn build_split_entity(ids: &mut IdAllocator, seed: u64) -> Vec<License> {
 /// identical inputs produce an identical corpus.
 pub fn generate(spec: &ScenarioSpec, seed: u64) -> GeneratedEcosystem {
     let mut ids = IdAllocator::new(10_001);
-    // Each generator group bulk-loads through `UlsDatabase::extend`,
-    // which defers sorted-name-cache maintenance to the end of the
-    // group instead of re-sorting per license.
-    let mut db = UlsDatabase::new();
+    // Every generator group appends to one license list, which becomes
+    // the corpus in one bulk build (`UlsDatabase::from_licenses` sorts
+    // each index once and sizes it exactly).
+    let mut licenses = Vec::new();
     let mut modeled = Vec::new();
     let mut connected = Vec::new();
 
@@ -1055,9 +1055,9 @@ pub fn generate(spec: &ScenarioSpec, seed: u64) -> GeneratedEcosystem {
         let child_seed = seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1));
         build_network(net, child_seed)
     });
-    for (net, mut licenses) in spec.networks.iter().zip(built) {
-        ids.stamp(&mut licenses);
-        db.extend(licenses);
+    for (net, mut network) in spec.networks.iter().zip(built) {
+        ids.stamp(&mut network);
+        licenses.append(&mut network);
         modeled.push(net.name.clone());
         if net.final_latency.is_some() {
             connected.push(net.name.clone());
@@ -1065,7 +1065,7 @@ pub fn generate(spec: &ScenarioSpec, seed: u64) -> GeneratedEcosystem {
     }
 
     for k in 0..spec.split_entity_pairs {
-        db.extend(build_split_entity(
+        licenses.extend(build_split_entity(
             &mut ids,
             seed ^ (0x5157_1111u64 + k as u64),
         ));
@@ -1074,26 +1074,27 @@ pub fn generate(spec: &ScenarioSpec, seed: u64) -> GeneratedEcosystem {
     let cme = CME.position();
     let ny4 = EQUINIX_NY4.position();
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xABCD_EF01_2345_6789);
-    db.extend(noise::partial_licensees(
+    licenses.extend(noise::partial_licensees(
         spec.partial_licensees,
         &cme,
         &ny4,
         &mut ids,
         &mut rng,
     ));
-    db.extend(noise::small_licensees(
+    licenses.extend(noise::small_licensees(
         spec.small_licensees,
         &cme,
         &mut ids,
         &mut rng,
     ));
-    db.extend(noise::other_service_licensees(
+    licenses.extend(noise::other_service_licensees(
         spec.other_service_licensees,
         &cme,
         &mut ids,
         &mut rng,
     ));
 
+    let db = UlsDatabase::from_licenses(licenses);
     GeneratedEcosystem {
         db,
         modeled,
