@@ -3,7 +3,9 @@
 //! (every network reconstructed from scratch) and once against a shared
 //! warmed session (everything answered from the epoch cache). Alongside
 //! it, the cost of generating the calibrated corpus every session sits
-//! on, and of the §5 weather Monte Carlo no session cache holds. Results
+//! on, of building one serving engine over it (what a fleet shard pays
+//! at every corpus swap), and of the §5 weather Monte Carlo no session
+//! cache holds. Results
 //! are printed and written to `BENCH_session.json` at the workspace root
 //! so the speedup is tracked alongside the code.
 
@@ -14,9 +16,10 @@ use hft_core::corridor::{DataCenter, CME, EQUINIX_NY4, NASDAQ, NYSE};
 use hft_core::AnalysisSession;
 use hft_corridor::{chicago_nj, generate, GeneratedEcosystem};
 use hft_radio::WeatherSampler;
+use hft_serve::{ServeStats, Service};
 use hft_time::Date;
 use hftnetview::{report, weather};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 fn eco() -> &'static GeneratedEcosystem {
     static ECO: OnceLock<GeneratedEcosystem> = OnceLock::new();
@@ -39,6 +42,25 @@ fn bench_generate(c: &mut Criterion) {
     g.sample_size(load::sample_size(10));
     g.bench_function("generate_full_ecosystem", |b| {
         b.iter(|| black_box(generate(black_box(&spec), REPRO_SEED)))
+    });
+    g.finish();
+}
+
+/// One `Service::over_snapshot` over the seed corpus, dropped again:
+/// the engine a fleet shard builds when a publish brings it a new corpus.
+fn bench_engine_build(c: &mut Criterion) {
+    let db = Arc::new(eco().db.clone());
+    let stats = Arc::new(ServeStats::default());
+    let mut g = c.benchmark_group("session");
+    g.sample_size(load::sample_size(100));
+    g.bench_function("engine_build", |b| {
+        b.iter(|| {
+            black_box(Service::over_snapshot(
+                Arc::clone(&db),
+                1,
+                Arc::clone(&stats),
+            ))
+        })
     });
     g.finish();
 }
@@ -109,6 +131,7 @@ fn bench_weather_mc(c: &mut Criterion) {
 fn main() {
     let mut criterion = Criterion::default().configure_from_args();
     bench_generate(&mut criterion);
+    bench_engine_build(&mut criterion);
     bench_cold(&mut criterion);
     bench_warm(&mut criterion);
     bench_weather_mc(&mut criterion);

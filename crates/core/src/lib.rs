@@ -55,4 +55,4 @@ pub use corridor::DataCenter;
 pub use network::{MwLink, Network, Tower};
 pub use reconstruct::{reconstruct, ReconstructOptions};
 pub use route::{route, Route, RoutingGraph};
-pub use session::{par_map, AnalysisSession, LicenseIndex, RouteMemo, SessionStats, StatsSnapshot};
+pub use session::{par_map, AnalysisSession, RouteMemo, SessionStats, StatsSnapshot};

@@ -1,5 +1,5 @@
-//! The shared snapshot engine: one [`AnalysisSession`] owning the license
-//! corpus view, epoch-keyed memoization of every derived artifact, and
+//! The shared snapshot engine: one [`AnalysisSession`] over a license
+//! corpus, epoch-keyed memoization of every derived artifact, and
 //! scoped-thread fan-out.
 //!
 //! # Epochs
@@ -17,14 +17,17 @@
 //! a snapshot. The paper's nine-date evolution scan (§4) collapses to the
 //! distinct epochs each licensee actually crossed.
 //!
+//! The corpus keeps `E` and the licensee's corpus positions in its
+//! licensee map ([`UlsDatabase::filings`]), updated by every edit, so a
+//! session reads them and building one walks no license.
+//!
 //! # Caching
 //!
 //! Networks are memoized on `(licensee, epoch, options)`; routing graphs,
 //! routes and APA on `(licensee, epoch, options, dc-pair)`. Every cache
 //! is a [`Memo`], so concurrent misses on one key compute once, and
 //! counters are atomic: a session can be shared across the scoped
-//! threads of [`AnalysisSession::par_map`] (a delegate of the free
-//! [`par_map`], which the corridor generator uses too).
+//! threads of [`par_map`], which the corridor generator uses too.
 //!
 //! # As-of dates
 //!
@@ -45,130 +48,21 @@ use hft_geodesy::{LatLon, SnapGrid};
 use hft_time::Date;
 use hft_uls::scrape::{run_pipeline, FunnelReport, ScrapeConfig};
 use hft_uls::{License, UlsDatabase, UlsPortal};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Licenses grouped by licensee, with each licensee's sorted lifecycle
-/// event dates — the epoch table.
-///
-/// The index owns its keys and stores licenses as *positions into the
-/// session's corpus* rather than borrowed references, so it has no
-/// lifetime: a session over an `Arc<UlsDatabase>` (see
-/// [`AnalysisSession::shared`]) carries its corpus and this index
-/// together without self-reference.
-#[derive(Debug, Default)]
-pub struct LicenseIndex {
-    by_licensee: BTreeMap<String, LicenseeEntry>,
-}
-
-#[derive(Debug, Default)]
-struct LicenseeEntry {
-    /// Positions into the session corpus, in corpus order.
-    members: Vec<u32>,
-    /// Sorted, deduplicated grant/cancellation/termination dates.
-    events: Vec<Date>,
-}
-
-impl LicenseIndex {
-    /// Group `licenses` by licensee and derive each epoch table. The
-    /// iteration order defines the corpus positions recorded in
-    /// [`LicenseIndex::members_of`].
-    pub fn new<'a>(licenses: impl IntoIterator<Item = &'a License>) -> LicenseIndex {
-        let mut by_licensee: BTreeMap<String, LicenseeEntry> = BTreeMap::new();
-        for (pos, lic) in licenses.into_iter().enumerate() {
-            let entry = match by_licensee.get_mut(lic.licensee.as_str()) {
-                Some(e) => e,
-                None => by_licensee.entry(lic.licensee.clone()).or_default(),
-            };
-            entry.members.push(pos as u32);
-            entry.events.push(lic.grant_date);
-            entry.events.extend(lic.cancellation_date);
-            entry.events.extend(lic.termination_date);
-        }
-        for entry in by_licensee.values_mut() {
-            entry.events.sort_unstable();
-            entry.events.dedup();
-        }
-        LicenseIndex { by_licensee }
-    }
-
-    /// All licensee names, sorted.
-    pub fn licensees(&self) -> impl Iterator<Item = &str> + '_ {
-        self.by_licensee.keys().map(String::as_str)
-    }
-
-    /// Corpus positions of the licenses filed by `licensee` (empty for
-    /// unknown names), in corpus order.
-    pub fn members_of(&self, licensee: &str) -> &[u32] {
-        self.by_licensee
-            .get(licensee)
-            .map(|e| e.members.as_slice())
-            .unwrap_or(&[])
-    }
-
-    /// The sorted lifecycle event dates of `licensee`.
-    pub fn events_of(&self, licensee: &str) -> &[Date] {
-        self.by_licensee
-            .get(licensee)
-            .map(|e| e.events.as_slice())
-            .unwrap_or(&[])
-    }
-
-    /// The epoch of `date` for `licensee`: the number of lifecycle events
-    /// at or before `date`. Two dates with equal epochs reconstruct to
-    /// identical networks (see the module docs for the argument).
-    pub fn epoch_of(&self, licensee: &str, date: Date) -> usize {
-        self.events_of(licensee).partition_point(|e| *e <= date)
-    }
-
-    /// Number of distinct epochs `licensee` ever has (events + 1).
-    pub fn epoch_count(&self, licensee: &str) -> usize {
-        self.events_of(licensee).len() + 1
-    }
-
-    /// The representative (first) date of `licensee`'s epoch `k`:
-    /// the event opening the epoch, or [`Date::MIN`] for epoch 0.
-    pub fn epoch_start(&self, licensee: &str, epoch: usize) -> Date {
-        if epoch == 0 {
-            Date::MIN
-        } else {
-            self.events_of(licensee)[epoch - 1]
-        }
-    }
-}
-
-/// The corpus a session analyzes: a borrowed database, a shared
-/// (`Arc`-owned) database, or a bare license slice. Positions recorded in
-/// the [`LicenseIndex`] resolve through this.
+/// The corpus a session analyzes: a borrowed database, or a shared
+/// (`Arc`-owned) one.
 enum Corpus<'a> {
-    /// Borrowed portal-backed corpus ([`AnalysisSession::new`]).
+    /// Borrowed corpus ([`AnalysisSession::new`]).
     Borrowed(&'a UlsDatabase),
-    /// Shared portal-backed corpus ([`AnalysisSession::shared`]); keeps
-    /// its generation alive for as long as the session does, which is
-    /// what lets in-flight queries finish on the snapshot they started
-    /// on while the ingest applier publishes newer ones.
+    /// Shared corpus ([`AnalysisSession::shared`],
+    /// [`AnalysisSession::over`]); keeps its generation alive for as
+    /// long as the session does, which is what lets in-flight queries
+    /// finish on the snapshot they started on while the ingest applier
+    /// publishes newer ones.
     Shared(Arc<UlsDatabase>),
-    /// Bare license list, no portal ([`AnalysisSession::over`]).
-    Slice(Vec<&'a License>),
-}
-
-impl Corpus<'_> {
-    fn db(&self) -> Option<&UlsDatabase> {
-        match self {
-            Corpus::Borrowed(db) => Some(db),
-            Corpus::Shared(db) => Some(db),
-            Corpus::Slice(_) => None,
-        }
-    }
-
-    fn license(&self, pos: u32) -> &License {
-        match self {
-            Corpus::Borrowed(db) => &db.licenses()[pos as usize],
-            Corpus::Shared(db) => &db.licenses()[pos as usize],
-            Corpus::Slice(v) => v[pos as usize],
-        }
-    }
 }
 
 /// Hashable identity of a [`ReconstructOptions`] (part of every cache
@@ -353,12 +247,11 @@ type NetKey = (String, usize, OptionsKey);
 type PairKey = (String, usize, OptionsKey, &'static str, &'static str);
 type ScrapeKey = (u64, u64, u64, usize);
 
-/// The shared snapshot engine: owns the license-corpus view and serves
-/// every derived artifact — networks, routing graphs, routes, APA, the
-/// scrape shortlist — from epoch-keyed memos. Shareable across scoped
-/// threads; see [`AnalysisSession::par_map`].
+/// The shared snapshot engine: reads a license corpus and serves every
+/// derived artifact — networks, routing graphs, routes, APA, the scrape
+/// shortlist — from epoch-keyed memos. Shareable across scoped threads;
+/// see [`par_map`].
 pub struct AnalysisSession<'a> {
-    index: LicenseIndex,
     corpus: Corpus<'a>,
     options: ReconstructOptions,
     networks: Memo<NetKey, Arc<Network>>,
@@ -371,13 +264,7 @@ pub struct AnalysisSession<'a> {
 
 impl<'a> AnalysisSession<'a> {
     fn from_corpus(corpus: Corpus<'a>) -> AnalysisSession<'a> {
-        let index = match &corpus {
-            Corpus::Borrowed(db) => LicenseIndex::new(db.licenses()),
-            Corpus::Shared(db) => LicenseIndex::new(db.licenses()),
-            Corpus::Slice(v) => LicenseIndex::new(v.iter().copied()),
-        };
         AnalysisSession {
-            index,
             corpus,
             options: ReconstructOptions::default(),
             networks: Memo::new("session.network", "session.network.wait"),
@@ -389,8 +276,7 @@ impl<'a> AnalysisSession<'a> {
         }
     }
 
-    /// Session over a full ULS database (portal-backed operations like
-    /// [`AnalysisSession::scrape`] are available).
+    /// Session over a borrowed ULS database.
     pub fn new(db: &'a UlsDatabase) -> AnalysisSession<'a> {
         AnalysisSession::from_corpus(Corpus::Borrowed(db))
     }
@@ -404,10 +290,15 @@ impl<'a> AnalysisSession<'a> {
         AnalysisSession::from_corpus(Corpus::Shared(db))
     }
 
-    /// Session over a bare license slice (no portal; `scrape` returns
-    /// `None`). Useful for tests and for [`crate::evolution::trajectory`].
+    /// Session over a database built from copies of `licenses`, in
+    /// order. Useful for tests and for [`crate::evolution::trajectory`].
+    ///
+    /// # Panics
+    /// Panics on duplicate license ids, like
+    /// [`UlsDatabase::from_licenses`].
     pub fn over(licenses: impl IntoIterator<Item = &'a License>) -> AnalysisSession<'a> {
-        AnalysisSession::from_corpus(Corpus::Slice(licenses.into_iter().collect()))
+        let db = UlsDatabase::from_licenses(licenses.into_iter().cloned().collect());
+        AnalysisSession::from_corpus(Corpus::Shared(Arc::new(db)))
     }
 
     /// Replace the reconstruction options (builder style).
@@ -421,14 +312,12 @@ impl<'a> AnalysisSession<'a> {
         &self.options
     }
 
-    /// The underlying database, when the session was built from one.
-    pub fn db(&self) -> Option<&UlsDatabase> {
-        self.corpus.db()
-    }
-
-    /// The license/epoch index.
-    pub fn index(&self) -> &LicenseIndex {
-        &self.index
+    /// The corpus the session reads.
+    pub fn db(&self) -> &UlsDatabase {
+        match &self.corpus {
+            Corpus::Borrowed(db) => db,
+            Corpus::Shared(db) => db,
+        }
     }
 
     /// Cache counters so far.
@@ -436,26 +325,19 @@ impl<'a> AnalysisSession<'a> {
         self.stats.snapshot()
     }
 
-    /// The epoch of `date` for `licensee` under this session's corpus.
+    /// The epoch of `date` for `licensee` under this session's corpus
+    /// (see [`hft_uls::Filings::epoch`]).
     pub fn epoch(&self, licensee: &str, date: Date) -> usize {
-        self.index.epoch_of(licensee, date)
-    }
-
-    /// The licenses filed by `licensee`, resolved through the corpus.
-    fn licenses_of(&self, licensee: &str) -> Vec<&License> {
-        self.index
-            .members_of(licensee)
-            .iter()
-            .map(|&p| self.corpus.license(p))
-            .collect()
+        self.db().filings(licensee).epoch(date)
     }
 
     /// Licenses of `licensee` active on `date`.
     pub fn active_count(&self, licensee: &str, date: Date) -> usize {
-        self.index
-            .members_of(licensee)
+        let licenses = self.db().licenses();
+        let positions = self.db().filings(licensee).positions();
+        positions
             .iter()
-            .filter(|&&p| self.corpus.license(p).active_on(date))
+            .filter(|&&p| licenses[p as usize].active_on(date))
             .count()
     }
 
@@ -483,8 +365,9 @@ impl<'a> AnalysisSession<'a> {
         let epoch = self.epoch(licensee, date);
         let (net, outcome) = self.networks.get(self.net_key(licensee, epoch), || {
             let started = std::time::Instant::now();
-            let as_of = self.index.epoch_start(licensee, epoch);
-            let net = reconstruct(&self.licenses_of(licensee), licensee, as_of, &self.options);
+            let as_of = self.db().filings(licensee).epoch_start(epoch);
+            let licenses = self.db().licensee_search(licensee);
+            let net = reconstruct(&licenses, licensee, as_of, &self.options);
             self.stats
                 .reconstruct_ns
                 .record(started.elapsed().as_nanos() as u64);
@@ -567,10 +450,8 @@ impl<'a> AnalysisSession<'a> {
     }
 
     /// Run (or replay) the §2.2 scrape pipeline against the session's
-    /// database. `None` when the session has no portal
-    /// ([`AnalysisSession::over`]).
-    pub fn scrape(&self, reference: &LatLon, config: &ScrapeConfig) -> Option<Arc<ScrapeOutcome>> {
-        let db = self.corpus.db()?;
+    /// database.
+    pub fn scrape(&self, reference: &LatLon, config: &ScrapeConfig) -> Arc<ScrapeOutcome> {
         let key: ScrapeKey = (
             reference.lat_deg().to_bits(),
             reference.lon_deg().to_bits(),
@@ -578,30 +459,25 @@ impl<'a> AnalysisSession<'a> {
             config.min_filings,
         );
         let (outcome, _) = self.scrapes.get(key, || {
-            let (_, report) = run_pipeline(db, reference, config);
+            let (_, report) = run_pipeline(self.db(), reference, config);
             Arc::new(ScrapeOutcome {
                 shortlist: report.shortlist.clone(),
                 report,
             })
         });
-        Some(outcome)
+        outcome
     }
 
     /// The portal's indexed geographic search for many probe centers at
-    /// once, fanned through [`AnalysisSession::par_map`]. Each probe
-    /// walks only the candidate cells of the database's site grid;
-    /// results are in probe order, each byte-identical to calling
-    /// [`hft_uls::UlsPortal::geographic_search`] directly. `None` when
-    /// the session has no portal ([`AnalysisSession::over`]).
-    pub fn par_geographic_search(
-        &self,
-        centers: &[LatLon],
-        radius_km: f64,
-    ) -> Option<Vec<Vec<&License>>> {
-        let db = self.corpus.db()?;
-        Some(self.par_map(centers.to_vec(), move |c| {
+    /// once, fanned through [`par_map`]. Each probe walks only the
+    /// candidate cells of the database's site grid; results are in probe
+    /// order, each byte-identical to calling
+    /// [`hft_uls::UlsPortal::geographic_search`] directly.
+    pub fn par_geographic_search(&self, centers: &[LatLon], radius_km: f64) -> Vec<Vec<&License>> {
+        let db = self.db();
+        par_map(centers.to_vec(), move |c| {
             db.geographic_search(&c, radius_km)
-        }))
+        })
     }
 
     /// A licensee's §4 trajectory over `dates`, deduplicating per-date
@@ -631,17 +507,6 @@ impl<'a> AnalysisSession<'a> {
             licensee: licensee.to_string(),
             points,
         }
-    }
-
-    /// [`par_map`] with the closure running against this shared session,
-    /// so cache hits propagate across workers.
-    pub fn par_map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T) -> R + Sync,
-    {
-        par_map(items, f)
     }
 }
 
@@ -800,7 +665,8 @@ mod tests {
         let lics = chain_licenses("Net", d(2015, 6, 1), Some(d(2018, 3, 1)), 5, 1);
         let s = AnalysisSession::over(&lics);
         // Events: 2015-06-01 (grant), 2018-03-01 (cancel) → 3 epochs.
-        assert_eq!(s.index().epoch_count("Net"), 3);
+        let filings = s.db().filings("Net");
+        assert_eq!(filings.epoch_count(), 3);
         assert_eq!(s.epoch("Net", d(2015, 5, 31)), 0);
         assert_eq!(
             s.epoch("Net", d(2015, 6, 1)),
@@ -810,8 +676,8 @@ mod tests {
         assert_eq!(s.epoch("Net", d(2018, 2, 28)), 1);
         assert_eq!(s.epoch("Net", d(2018, 3, 1)), 2);
         assert_eq!(s.epoch("Net", d(2025, 1, 1)), 2);
-        assert_eq!(s.index().epoch_start("Net", 0), Date::MIN);
-        assert_eq!(s.index().epoch_start("Net", 1), d(2015, 6, 1));
+        assert_eq!(filings.epoch_start(0), Date::MIN);
+        assert_eq!(filings.epoch_start(1), d(2015, 6, 1));
     }
 
     #[test]
@@ -879,17 +745,19 @@ mod tests {
         // 9 dates span 3 epochs → exactly 3 reconstructions.
         assert_eq!(s.stats().reconstructions, 3);
         assert!(s.stats().reconstructions_avoided() > 0);
-        // Matches the direct per-date implementation.
+        // Each point matches a per-date reconstruction, route and linear
+        // active count.
         let refs: Vec<&License> = lics.iter().collect();
-        let direct = crate::evolution::trajectory(
-            &refs,
-            "Net",
-            &CME,
-            &EQUINIX_NY4,
-            &dates,
-            &ReconstructOptions::default(),
-        );
-        assert_eq!(t, direct);
+        for (point, &date) in t.points.iter().zip(&dates) {
+            let net = reconstruct(&refs, "Net", date, &ReconstructOptions::default());
+            let want = EvolutionPoint {
+                date,
+                latency_ms: crate::route::route(&net, &CME, &EQUINIX_NY4).map(|r| r.latency_ms),
+                active_licenses: lics.iter().filter(|l| l.active_on(date)).count(),
+                towers: net.tower_count(),
+            };
+            assert_eq!(*point, want, "{}", date.to_iso());
+        }
     }
 
     #[test]
@@ -919,7 +787,7 @@ mod tests {
         lics.extend(chain_licenses("B", d(2016, 1, 1), None, 25, 1000));
         let s = AnalysisSession::over(&lics);
         let names: Vec<&str> = vec!["A", "B", "A", "B", "A"];
-        let latencies = s.par_map(names.clone(), |name| {
+        let latencies = par_map(names.clone(), |name| {
             s.latency_ms(name, d(2020, 4, 1), &CME, &EQUINIX_NY4)
         });
         assert_eq!(latencies.len(), 5);
@@ -929,7 +797,7 @@ mod tests {
         // Only two distinct (licensee, epoch) snapshots exist.
         assert_eq!(s.stats().reconstructions, 2);
         let empty: Vec<u8> = Vec::new();
-        assert!(s.par_map(empty, |x: u8| x).is_empty());
+        assert!(par_map(empty, |x: u8| x).is_empty());
     }
 
     #[test]
@@ -940,7 +808,7 @@ mod tests {
         let a = CME.position();
         let b = EQUINIX_NY4.position();
         let centers = vec![a, b, gc_interpolate(&a, &b, 0.5)];
-        let fanned = s.par_geographic_search(&centers, 25.0).unwrap();
+        let fanned = s.par_geographic_search(&centers, 25.0);
         assert_eq!(fanned.len(), centers.len());
         for (center, got) in centers.iter().zip(&fanned) {
             let got_ids: Vec<u64> = got.iter().map(|l| l.id.0).collect();
@@ -952,11 +820,6 @@ mod tests {
             assert_eq!(got_ids, direct_ids);
         }
         assert!(!fanned[0].is_empty(), "probe at CME must see the chain");
-
-        // Sessions without a portal have nothing to search.
-        let bare = chain_licenses("X", d(2015, 1, 1), None, 5, 900);
-        let s2 = AnalysisSession::over(&bare);
-        assert!(s2.par_geographic_search(&[a], 10.0).is_none());
     }
 
     #[test]
@@ -977,9 +840,9 @@ mod tests {
         assert_eq!(got.tower_count(), want.tower_count());
         assert_eq!(got.as_of, want.as_of);
         // Portal-backed operations work through the shared corpus too.
-        assert!(session.db().is_some());
+        assert_eq!(session.db().len(), borrowed_db.len());
         let probes = vec![CME.position()];
-        let hits = session.par_geographic_search(&probes, 25.0).unwrap();
+        let hits = session.par_geographic_search(&probes, 25.0);
         assert!(!hits[0].is_empty());
         assert_eq!(session.active_count("Net", d(2020, 4, 1)), 24);
     }

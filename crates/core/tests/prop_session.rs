@@ -112,7 +112,7 @@ proptest! {
         for date in &queries {
             session.network("Prop Net", *date);
         }
-        let epochs = session.index().epoch_count("Prop Net") as u64;
+        let epochs = session.db().filings("Prop Net").epoch_count() as u64;
         let stats = session.stats();
         prop_assert!(
             stats.reconstructions <= epochs,

@@ -216,10 +216,10 @@ impl HttpConn<'_> {
         let mut rows: Vec<CorpusRow> = engines
             .iter()
             .flat_map(|e| {
-                let index = e.session().index();
-                index.licensees().map(|name| CorpusRow {
+                let db = e.session().db();
+                db.licensees().into_iter().map(|name| CorpusRow {
                     name: name.to_string(),
-                    licenses: index.members_of(name).len(),
+                    licenses: db.filings(name).positions().len(),
                 })
             })
             .collect();
@@ -338,7 +338,7 @@ impl HttpConn<'_> {
             let session = engine.session();
             // Shards partition at licensee granularity, so rows from
             // different shards never collide.
-            for name in session.index().licensees() {
+            for name in session.db().licensees() {
                 let counts: Vec<usize> = years
                     .iter()
                     .map(|&y| {

@@ -1,5 +1,9 @@
 //! The incremental applier: folds dump batches into a `UlsDatabase`
-//! **in place**, maintaining every secondary index as it goes.
+//! **in place**, one corpus edit per event (`insert` for a new license,
+//! `replace` for an update, `set_cancellation` for a cancel), each
+//! maintaining every secondary index as it goes, the licensee map's
+//! lifecycle dates included. Conflict checks read the corpus itself, so
+//! no event waits in a buffer.
 //!
 //! The applier owns its working corpus as an `Arc<UlsDatabase>` and
 //! mutates through [`Arc::make_mut`]: as long as nobody else holds it,
@@ -24,8 +28,7 @@
 use crate::delta::{DumpBatch, DumpEvent};
 use crate::sharded::ShardedStore;
 use hft_time::Date;
-use hft_uls::{License, UlsDatabase, UlsPortal};
-use std::collections::HashSet;
+use hft_uls::{UlsDatabase, UlsPortal};
 use std::sync::Arc;
 
 /// Why an event was skipped.
@@ -137,35 +140,15 @@ impl Applier {
         self.last_date
     }
 
-    /// Fold one batch into the corpus, in event order. Returns the
-    /// skipped events; applying never fails.
-    ///
-    /// Runs of consecutive `New` events are buffered and loaded through
-    /// [`UlsDatabase::extend`] — the bulk path that defers sorted-name
-    /// maintenance to the end of the run.
+    /// Fold one batch into the corpus, in event order, each event
+    /// through one incremental [`UlsDatabase`] edit. Returns the skipped
+    /// events; applying never fails.
     pub fn apply(&mut self, batch: &DumpBatch) -> Vec<Conflict> {
         let _span = hft_obs::span("ingest.apply");
         let started = std::time::Instant::now();
         let before = self.stats;
         let mut conflicts = Vec::new();
         let db = Arc::make_mut(&mut self.db);
-        // Pending `New` licenses not yet flushed into the database, with
-        // their call signs / ids visible to the conflict checks below.
-        let mut pending: Vec<License> = Vec::new();
-        let mut pending_calls: HashSet<String> = HashSet::new();
-        let mut pending_ids: HashSet<u64> = HashSet::new();
-        fn flush(
-            db: &mut UlsDatabase,
-            pending: &mut Vec<License>,
-            calls: &mut HashSet<String>,
-            ids: &mut HashSet<u64>,
-        ) {
-            if !pending.is_empty() {
-                db.extend(pending.drain(..));
-                calls.clear();
-                ids.clear();
-            }
-        }
         let conflict = |call: &str, kind: ConflictKind| Conflict {
             date: batch.date,
             call_sign: call.to_string(),
@@ -175,20 +158,16 @@ impl Applier {
             match event {
                 DumpEvent::New(lic) => {
                     let call = &lic.call_sign.0;
-                    if db.find_call_sign(call).is_some() || pending_calls.contains(call) {
+                    if db.find_call_sign(call).is_some() {
                         conflicts.push(conflict(call, ConflictKind::NewExists));
-                    } else if db.license_detail(lic.id).is_some() || pending_ids.contains(&lic.id.0)
-                    {
+                    } else if db.license_detail(lic.id).is_some() {
                         conflicts.push(conflict(call, ConflictKind::DuplicateId(lic.id.0)));
                     } else {
-                        pending_calls.insert(call.clone());
-                        pending_ids.insert(lic.id.0);
-                        pending.push(lic.clone());
+                        db.insert(lic.clone());
                         self.stats.added += 1;
                     }
                 }
                 DumpEvent::Update(lic) => {
-                    flush(db, &mut pending, &mut pending_calls, &mut pending_ids);
                     let call = &lic.call_sign.0;
                     match db.find_call_sign(call) {
                         Some(idx) => {
@@ -203,19 +182,15 @@ impl Applier {
                         None => conflicts.push(conflict(call, ConflictKind::UpdateMissing)),
                     }
                 }
-                DumpEvent::Cancel { call_sign, date } => {
-                    flush(db, &mut pending, &mut pending_calls, &mut pending_ids);
-                    match db.find_call_sign(&call_sign.0) {
-                        Some(idx) => {
-                            db.set_cancellation(idx, Some(*date));
-                            self.stats.cancelled += 1;
-                        }
-                        None => conflicts.push(conflict(&call_sign.0, ConflictKind::CancelMissing)),
+                DumpEvent::Cancel { call_sign, date } => match db.find_call_sign(&call_sign.0) {
+                    Some(idx) => {
+                        db.set_cancellation(idx, Some(*date));
+                        self.stats.cancelled += 1;
                     }
-                }
+                    None => conflicts.push(conflict(&call_sign.0, ConflictKind::CancelMissing)),
+                },
             }
         }
-        flush(db, &mut pending, &mut pending_calls, &mut pending_ids);
         self.stats.batches += 1;
         self.stats.conflicts += conflicts.len() as u64;
         self.last_date = Some(batch.date);
@@ -278,8 +253,8 @@ mod tests {
     use hft_geodesy::LatLon;
     use hft_uls::shard::ShardStrategy;
     use hft_uls::{
-        CallSign, FrequencyAssignment, LicenseId, MicrowavePath, RadioService, StationClass,
-        TowerSite, UlsPortal,
+        CallSign, FrequencyAssignment, License, LicenseId, MicrowavePath, RadioService,
+        StationClass, TowerSite,
     };
 
     fn d(y: i32, m: u32, day: u32) -> Date {

@@ -14,10 +14,11 @@
 //!   *quarantined* (counted and skipped, never aborting the batch) —
 //!   the robustness posture of a production scraper.
 //! * [`apply`] — an [`apply::Applier`] that folds decoded batches into a
-//!   [`hft_uls::UlsDatabase`] **in place**, maintaining every secondary
-//!   index (site bucket grid, `(service, class)` index, sorted
-//!   licensee-name cache) incrementally, plus a from-scratch rebuild
-//!   path used only to verify the incremental state.
+//!   [`hft_uls::UlsDatabase`] **in place**, one corpus edit per event,
+//!   maintaining every secondary index (site bucket grid, `(service,
+//!   class)` index, the licensee map with its lifecycle dates)
+//!   incrementally, plus a from-scratch rebuild path used only to
+//!   verify the incremental state.
 //! * [`store`] — a copy-on-write [`store::SnapshotStore`]: corpus
 //!   generations published as `Arc` swaps, so every in-flight analysis
 //!   finishes against the generation it started on while new queries

@@ -104,7 +104,7 @@ impl<'a> Service<'a> {
     /// Whether this engine reads exactly `db`: the same allocation, not
     /// an equal copy.
     pub(crate) fn reads(&self, db: &UlsDatabase) -> bool {
-        std::ptr::eq(self.portal(), db)
+        std::ptr::eq(self.session.db(), db)
     }
 
     /// Answer for `generation` from now on, keeping every cache. Only
@@ -123,13 +123,6 @@ impl<'a> Service<'a> {
     /// service's corpus generation.
     pub fn race_engine(&self) -> &RaceEngine {
         &self.race
-    }
-
-    /// The corpus (always present: both constructors supply one).
-    fn portal(&self) -> &UlsDatabase {
-        self.session
-            .db()
-            .expect("service sessions always carry a portal")
     }
 
     /// Answer one request. Safe to call from many threads at once; this
@@ -164,11 +157,11 @@ impl<'a> Service<'a> {
             } => match LatLon::new(*lat_deg, *lon_deg) {
                 Err(e) => err(format!("bad coordinates: {e}")),
                 Ok(center) => Response::Licenses {
-                    ids: canonical_ids(self.portal().geographic_search(&center, *radius_km)),
+                    ids: canonical_ids(self.session.db().geographic_search(&center, *radius_km)),
                 },
             },
             Request::SiteSearch { service, class } => Response::Licenses {
-                ids: canonical_ids(self.portal().site_search(
+                ids: canonical_ids(self.session.db().site_search(
                     &RadioService::from_code(service),
                     &StationClass::from_code(class),
                 )),
@@ -185,14 +178,12 @@ impl<'a> Service<'a> {
                         radius_km: *radius_km,
                         min_filings: *min_filings,
                     };
-                    match self.session.scrape(&reference, &config) {
-                        None => err("session has no portal".to_string()),
-                        Some(outcome) => Response::Shortlist {
-                            geographic_candidates: outcome.report.geographic_candidates as u64,
-                            service_filtered: outcome.report.service_filtered as u64,
-                            shortlisted: outcome.report.shortlisted as u64,
-                            names: outcome.shortlist.clone(),
-                        },
+                    let outcome = self.session.scrape(&reference, &config);
+                    Response::Shortlist {
+                        geographic_candidates: outcome.report.geographic_candidates as u64,
+                        service_filtered: outcome.report.service_filtered as u64,
+                        shortlisted: outcome.report.shortlisted as u64,
+                        names: outcome.shortlist.clone(),
                     }
                 }
             },

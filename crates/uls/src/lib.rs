@@ -54,6 +54,6 @@ pub use license::{
     CallSign, FrequencyAssignment, License, LicenseId, LicenseStatus, MicrowavePath, RadioService,
     StationClass, TowerSite,
 };
-pub use portal::{UlsDatabase, UlsPortal};
+pub use portal::{Filings, UlsDatabase, UlsPortal};
 pub use shard::ShardStrategy;
 pub use siteindex::{SiteIndex, CELL_DEG};

@@ -152,8 +152,9 @@ proptest! {
     }
 }
 
-/// A license to file: call sign, licensee and service/class drawn from
-/// small pools so scripts revisit keys, call signs included.
+/// A license to file: call sign, licensee, service/class and lifecycle
+/// dates drawn from small pools so scripts revisit keys, call signs and
+/// dates included.
 #[derive(Debug, Clone)]
 struct Filing {
     call: u8,
@@ -161,6 +162,8 @@ struct Filing {
     service: RadioService,
     class: StationClass,
     sites: Vec<(LatLon, LatLon)>,
+    grant: u8,
+    termination: Option<u8>,
 }
 
 /// What a `replace` changes; `None` keeps the field of the license it
@@ -172,6 +175,7 @@ struct Change {
     licensee: Option<u8>,
     service_class: Option<(RadioService, StationClass)>,
     sites: Option<Vec<(LatLon, LatLon)>>,
+    grant: Option<u8>,
 }
 
 #[derive(Debug, Clone)]
@@ -195,6 +199,16 @@ fn licensee(k: u8) -> String {
     format!("Licensee {k}")
 }
 
+/// Grants fall on four new-year days, 2014 to 2017.
+fn grant_date(k: u8) -> Date {
+    Date::new(2014 + i32::from(k), 1, 1).unwrap()
+}
+
+/// Terminations fall on three first-of-the-month days of 2020.
+fn termination_date(k: u8) -> Date {
+    Date::new(2020, u32::from(k), 1).unwrap()
+}
+
 /// Sites on a coarse lattice, so licenses share grid cells.
 fn arb_sites() -> impl Strategy<Value = Vec<(LatLon, LatLon)>> {
     let lattice = (0u8..6, 0u8..6).prop_map(|(i, j)| {
@@ -204,15 +218,21 @@ fn arb_sites() -> impl Strategy<Value = Vec<(LatLon, LatLon)>> {
 }
 
 fn arb_filing() -> impl Strategy<Value = Filing> {
-    (0..CALLS, 0..NAMES, arb_service(), arb_class(), arb_sites()).prop_map(
-        |(call, licensee, service, class, sites)| Filing {
-            call,
-            licensee,
-            service,
-            class,
-            sites,
-        },
+    (
+        (0..CALLS, 0..NAMES, arb_service(), arb_class(), arb_sites()),
+        (0u8..4, proptest::option::of(1u8..4)),
     )
+        .prop_map(
+            |((call, licensee, service, class, sites), (grant, termination))| Filing {
+                call,
+                licensee,
+                service,
+                class,
+                sites,
+                grant,
+                termination,
+            },
+        )
 }
 
 fn arb_change() -> impl Strategy<Value = Change> {
@@ -222,14 +242,18 @@ fn arb_change() -> impl Strategy<Value = Change> {
         proptest::option::of(0..NAMES),
         proptest::option::of((arb_service(), arb_class())),
         proptest::option::of(arb_sites()),
+        proptest::option::of(0u8..4),
     )
-        .prop_map(|(call, new_id, licensee, service_class, sites)| Change {
-            call,
-            new_id,
-            licensee,
-            service_class,
-            sites,
-        })
+        .prop_map(
+            |(call, new_id, licensee, service_class, sites, grant)| Change {
+                call,
+                new_id,
+                licensee,
+                service_class,
+                sites,
+                grant,
+            },
+        )
 }
 
 /// Replacements drawn twice as often as the other edits.
@@ -263,8 +287,8 @@ fn file(f: Filing, id: u64) -> License {
         licensee: licensee(f.licensee),
         service: f.service,
         station_class: f.class,
-        grant_date: Date::new(2015, 1, 1).unwrap(),
-        termination_date: None,
+        grant_date: grant_date(f.grant),
+        termination_date: f.termination.map(termination_date),
         cancellation_date: None,
         paths: paths(&f.sites),
     }
@@ -311,6 +335,9 @@ fn run(script: Vec<Edit>) -> (UlsDatabase, Vec<License>, u64) {
                 if let Some(sites) = c.sites {
                     lic.paths = paths(&sites);
                 }
+                if let Some(k) = c.grant {
+                    lic.grant_date = grant_date(k);
+                }
                 model[at] = lic.clone();
                 db.replace(at, lic);
             }
@@ -349,10 +376,34 @@ proptest! {
             let id = LicenseId(id);
             prop_assert_eq!(db.license_detail(id), model.iter().find(|l| l.id == id));
         }
+        // Lifecycle dates on, between and around the event days.
+        let probes = [
+            Date::new(2013, 6, 1).unwrap(),
+            grant_date(1),
+            Date::new(2016, 7, 1).unwrap(),
+            Date::new(2019, 3, 14).unwrap(),
+            termination_date(2),
+            Date::new(2030, 1, 1).unwrap(),
+        ];
         for k in 0..=NAMES {
             let name = licensee(k);
             let want: Vec<&License> = model.iter().filter(|l| l.licensee == name).collect();
-            prop_assert_eq!(db.licensee_search(&name), want);
+            prop_assert_eq!(db.licensee_search(&name), want.clone());
+            // Epochs against a linear scan of the licensee's licenses.
+            let mut events: Vec<Date> = want
+                .iter()
+                .flat_map(|l| [Some(l.grant_date), l.cancellation_date, l.termination_date])
+                .flatten()
+                .collect();
+            events.sort_unstable();
+            events.dedup();
+            let filings = db.filings(&name);
+            prop_assert_eq!(filings.epoch_count(), events.len() + 1, "{}", name);
+            for probe in probes.into_iter().chain(events.iter().copied()) {
+                let linear = events.iter().filter(|&&e| e <= probe).count();
+                prop_assert_eq!(filings.epoch(probe), linear, "{} at {}", name, probe.to_iso());
+                prop_assert_eq!(filings.epoch_start(linear), if linear == 0 { Date::MIN } else { events[linear - 1] });
+            }
         }
         let mut names: Vec<&str> = model.iter().map(|l| l.licensee.as_str()).collect();
         names.sort_unstable();

@@ -864,12 +864,8 @@ fn run_ingest(
     let replay_session = hft_core::session::AnalysisSession::new(applier.db());
     let cfg = hft_uls::scrape::ScrapeConfig::default();
     let reference = corridor::CME.position();
-    let got_scrape = replay_session
-        .scrape(&reference, &cfg)
-        .expect("session has a portal");
-    let want_scrape = eco_session
-        .scrape(&reference, &cfg)
-        .expect("session has a portal");
+    let got_scrape = replay_session.scrape(&reference, &cfg);
+    let want_scrape = eco_session.scrape(&reference, &cfg);
     if got_scrape.report != want_scrape.report || got_scrape.shortlist != want_scrape.shortlist {
         return Err("replayed scrape funnel differs from the generated corpus".into());
     }

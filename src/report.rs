@@ -14,7 +14,7 @@
 
 use hft_core::corridor::{DataCenter, CME, EQUINIX_NY4, NASDAQ, NYSE};
 use hft_core::session::AnalysisSession;
-use hft_core::{metrics, Network};
+use hft_core::{metrics, par_map, Network};
 use hft_corridor::GeneratedEcosystem;
 use hft_leo::{compare as leo_compare, paper_segments, Comparison, Constellation};
 use hft_time::{paper_sample_dates, Date};
@@ -53,7 +53,6 @@ impl<'a> Analysis<'a> {
     fn shortlist(&self) -> Vec<String> {
         self.session
             .scrape(&CME.position(), &ScrapeConfig::default())
-            .expect("session built from a database")
             .shortlist
             .clone()
     }
@@ -102,24 +101,23 @@ pub struct Table1Row {
 /// funnel — not from every licensee in the corpus: only shortlisted
 /// MG/FXO corridor players can be connected, so reconstructing the noise
 /// licensees (the bulk of the corpus) just to find no route was wasted
-/// work. The shortlist fans out across session worker threads.
+/// work. The shortlist fans out across worker threads over one session.
 pub fn table1(analysis: &Analysis) -> Vec<Table1Row> {
     let asof = snapshot_date();
     let s = &analysis.session;
-    let mut rows: Vec<Table1Row> = s
-        .par_map(analysis.shortlist(), |name| {
-            let r = s.route(&name, asof, &CME, &EQUINIX_NY4)?;
-            let apa = s.apa(&name, asof, &CME, &EQUINIX_NY4).unwrap_or(0.0);
-            Some(Table1Row {
-                licensee: name,
-                latency_ms: r.latency_ms,
-                apa,
-                towers: r.towers,
-            })
+    let mut rows: Vec<Table1Row> = par_map(analysis.shortlist(), |name| {
+        let r = s.route(&name, asof, &CME, &EQUINIX_NY4)?;
+        let apa = s.apa(&name, asof, &CME, &EQUINIX_NY4).unwrap_or(0.0);
+        Some(Table1Row {
+            licensee: name,
+            latency_ms: r.latency_ms,
+            apa,
+            towers: r.towers,
         })
-        .into_iter()
-        .flatten()
-        .collect();
+    })
+    .into_iter()
+    .flatten()
+    .collect();
     rows.sort_by(|a, b| {
         a.latency_ms
             .partial_cmp(&b.latency_ms)
@@ -261,7 +259,7 @@ pub struct EvolutionSeries {
 pub fn evolution(analysis: &Analysis) -> Vec<EvolutionSeries> {
     let dates = paper_sample_dates();
     let s = &analysis.session;
-    s.par_map(FIGURE_NETWORKS.to_vec(), |name| {
+    par_map(FIGURE_NETWORKS.to_vec(), |name| {
         let t = s.trajectory(name, &CME, &EQUINIX_NY4, &dates);
         EvolutionSeries {
             licensee: t.licensee,
@@ -488,7 +486,6 @@ pub fn funnel(analysis: &Analysis) -> hft_uls::scrape::FunnelReport {
     analysis
         .session
         .scrape(&CME.position(), &ScrapeConfig::default())
-        .expect("session built from a database")
         .report
         .clone()
 }
