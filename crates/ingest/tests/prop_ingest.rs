@@ -3,7 +3,7 @@
 //! applier must land on exactly the database a from-scratch
 //! `UlsDatabase::from_licenses` build over the reference model produces
 //! — the license list, the site bucket grid, the `(service, class)`
-//! index, and the sorted licensee-name cache. A second property checks
+//! index, and the licensee map with its lifecycle dates. A second property checks
 //! that the final corpus depends only on the event sequence, never on
 //! how it was split into batches. A third checks that a fleet's delta
 //! publish lands every shard on exactly a fresh partition's piece, and
